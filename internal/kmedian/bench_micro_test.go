@@ -35,6 +35,28 @@ func BenchmarkLocalSearchQuadraticEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkLocalSearchOutliers runs the solve at a perfbench site's shape
+// (1200 planted points with 2% far outliers, k = 10, t = 100), where the
+// swap evaluation dominates, for unit and weighted clients.
+func BenchmarkLocalSearchOutliers(b *testing.B) {
+	sp := plantedSite()
+	w := make([]float64, sp.Clients())
+	for j := range w {
+		w[j] = float64(1 + j%3)
+	}
+	for _, bc := range []struct {
+		name string
+		w    []float64
+	}{{"unit", nil}, {"weighted", w}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				LocalSearch(sp, bc.w, 10, 100, Options{Seed: int64(i)})
+			}
+		})
+	}
+}
+
 func BenchmarkJV(b *testing.B) {
 	sp := benchPoints(100)
 	b.ReportAllocs()

@@ -44,7 +44,10 @@ func sameSolution(t *testing.T, label string, ref, got Solution) {
 // TestEngineMatchesReference is the core engine contract: the fast local
 // search must return bit-identical solutions to the seed sequential
 // implementation, for every worker count, with and without the distance
-// cache, weighted and unweighted.
+// cache, weighted and unweighted. The second half runs the instances that
+// stress the swap-pruning bounds: fractional budgets (Bicriteria's
+// t*(1+eps)), squared costs, duplicate points (distance ties) and
+// zero-weight clients.
 func TestEngineMatchesReference(t *testing.T) {
 	for _, n := range []int{40, 300, 900} {
 		for _, weighted := range []bool{false, true} {
@@ -74,6 +77,38 @@ func TestEngineMatchesReference(t *testing.T) {
 					sameSolution(t, label, ref, got)
 				}
 			}
+		}
+	}
+
+	pts := parityPoints(41, 600, 2)
+	dup := append(append([]metric.Point(nil), pts[:300]...), pts[:300]...)
+	rng := rand.New(rand.NewSource(5))
+	w := make([]float64, len(pts))
+	for i := range w {
+		if rng.Intn(4) > 0 {
+			w[i] = 0.5 + rng.Float64()*3
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		costs metric.Costs
+		w     []float64
+		eps   float64
+	}{
+		{"fractional", metric.NewPoints(pts), nil, 0.37},
+		{"fractional-weighted", metric.NewPoints(pts), w, 0.37},
+		{"squared", metric.Squared{C: metric.NewPoints(pts)}, nil, 0.25},
+		{"squared-weighted", metric.Squared{C: metric.NewPoints(pts)}, w, 0},
+		{"duplicates", metric.NewPoints(dup), nil, 0.1},
+		{"duplicates-zero-weights", metric.NewPoints(dup), w, 0.1},
+	} {
+		tt := float64(tc.costs.Clients()) / 23
+		ref := Bicriteria(tc.costs, tc.w, 7, tt, tc.eps, RelaxOutliers, EngineLocalSearch,
+			Options{Seed: 3, Options: engine.Options{Reference: true}})
+		for _, workers := range []int{1, 4} {
+			got := Bicriteria(tc.costs, tc.w, 7, tt, tc.eps, RelaxOutliers, EngineLocalSearch,
+				Options{Seed: 3, Options: engine.Options{Workers: workers}})
+			sameSolution(t, tc.name, ref, got)
 		}
 	}
 }

@@ -49,6 +49,10 @@ type Options struct {
 	// solvers prune through whatever metric.CostPruner the oracle
 	// implements and never build indexes themselves.
 	engine.Options
+
+	// stats, when non-nil, counts swap evaluations and the sorts the
+	// pruning bounds skipped. Only the package's tests set it.
+	stats *swapStats
 }
 
 // canceled reports whether the solve's context has been cancelled — the
@@ -78,8 +82,12 @@ func (o Options) withDefaults() Options {
 // inlier set — the standard partial-clustering local-search scheme.
 //
 // The engine is objective-agnostic: pass metric.Squared costs for
-// (k,t)-means. Each round is O(nf * nc) plus one O(nc log nc) exact
-// re-evaluation.
+// (k,t)-means. Each round is O(nf * nc) for the candidate ranking plus the
+// topE*k swap evaluations. Each of those is O(nc) when a lower bound on its
+// partial cost already reaches the accept threshold, which is true for most
+// of them. Only the rest pay the O(nc log nc) exact sort-and-sum. Skipping
+// is decision-identical: a skipped swap either loses to a cheaper one or,
+// were it the cheapest, descent would stop anyway (see swapCost).
 func LocalSearch(c metric.Costs, w []float64, k int, t float64, opt Options) Solution {
 	opt = opt.withDefaults()
 	nc, nf := c.Clients(), c.Facilities()
@@ -218,8 +226,9 @@ const topE = 12
 // This is the fast engine: candidate distance columns are computed once per
 // round (instead of once per swap), the d1/d2 nearest/second-nearest
 // bookkeeping turns each of the k swaps per candidate into a merge instead
-// of a fresh k-way scan, and the independent work runs on opt.Workers
-// goroutines. Every decision (swap chosen, stop condition, RNG stream) is
+// of a fresh k-way scan, swaps whose exact lower bound reaches the accept
+// threshold skip the sort-and-sum (swapCost), and the independent work runs
+// on opt.Workers goroutines. Every decision (swap chosen, stop condition, RNG stream) is
 // bit-identical to descendReference — TestEngineMatchesReference and the
 // cmd/dpc-bench harness enforce it.
 func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options, rng *rand.Rand) Solution {
@@ -345,14 +354,21 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 				cols[si][j] = c.Cost(j, top[si].f)
 			}
 		})
-		// Exact evaluation of every (candidate, removed position) swap into
-		// per-slot cost cells; the fold below replays the sequential
-		// first-strict-win scan, so ties resolve exactly as in the
-		// reference engine.
+		// Evaluation of every (candidate, removed position) swap into
+		// per-slot cost cells: exact below the accept threshold, +Inf where
+		// a lower bound proves the swap cannot be accepted (prune.go). The
+		// fold below replays the sequential first-strict-win scan, so ties
+		// resolve exactly as in the reference engine. bufs[:k] double as
+		// the envelope scratch before the swap fills overwrite them.
+		thr := cur.Cost * (1 - relTol)
+		round := &swapRound{d1: d1, a1: a1, d2: d2, w: w, t: t, thr: thr, stats: opt.stats}
+		if len(top) > 0 {
+			round.envelopes(k, bufs, workers)
+		}
 		costs := make([]float64, len(top)*k)
 		par.For(workers, len(top)*k, func(slot int) {
 			si, p := slot/k, slot%k
-			costs[slot] = swapCost(cols[si], d1, a1, d2, w, p, t, bufs[slot])
+			costs[slot] = round.swapCost(cols[si], p, bufs[slot])
 		})
 		bestCost := cur.Cost
 		bestSwap := [2]int{-1, -1} // (center position, facility)
@@ -364,7 +380,7 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 				}
 			}
 		}
-		if bestSwap[0] < 0 || bestCost >= cur.Cost*(1-relTol) {
+		if bestSwap[0] < 0 || bestCost >= thr {
 			break
 		}
 		trial := append([]int(nil), cur.Centers...)
@@ -374,14 +390,21 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 	return cur
 }
 
-// swapCost evaluates the exact partial cost of swapping the center at
-// position p for the facility whose distance column is col: client j's new
-// connection cost is min(col[j], d2[j]) when its nearest center is the one
-// removed, min(col[j], d1[j]) otherwise. buf receives the per-client
-// distances (len nc, overwritten). The result is bit-identical to
-// EvalSum on the swapped center set.
-func swapCost(col, d1 []float64, a1 []int, d2, w []float64, p int, t float64, buf []float64) float64 {
+// swapCost evaluates the partial cost of swapping the center at position p
+// for the facility whose distance column is col: client j's new connection
+// cost is min(col[j], d2[j]) when its nearest center is the one removed,
+// min(col[j], d1[j]) otherwise. buf receives the per-client distances (len
+// nc, overwritten). Below r.thr the result is exact and bit-identical to
+// EvalSum on the swapped center set. A swap whose lower bound reaches
+// r.thr returns +Inf without the sort-and-sum: tier 1 subtracts
+// r.env[p].drop, the bound on position p's outlier mass, from the sum the
+// fill loop accumulates; tier 2 (unit weights) subtracts buf's own top ⌈t⌉
+// values, found by selection. prune.go proves both bounds never exceed the
+// exact cost, so a +Inf swap provably costs at least r.thr.
+func (r *swapRound) swapCost(col []float64, p int, buf []float64) float64 {
+	d1, a1, d2, w, t, thr, env := r.d1, r.a1, r.d2, r.w, r.t, r.thr, r.env[p]
 	nc := len(col)
+	var sum float64
 	for j := 0; j < nc; j++ {
 		dj := d1[j]
 		if a1[j] == p {
@@ -391,8 +414,35 @@ func swapCost(col, d1 []float64, a1 []int, d2, w []float64, p int, t float64, bu
 			dj = col[j]
 		}
 		buf[j] = dj
+		if w != nil {
+			dj *= w[j]
+		}
+		sum += dj
+	}
+	r.stats.add(statEvals)
+	if lowerBound(nc, sum, env.drop) >= thr {
+		r.stats.add(statEnvelope)
+		return math.Inf(1)
 	}
 	if w == nil {
+		// The selection bound is at most sum − low, low being buf summed
+		// over the at most ⌈t⌉ clients above the envelope's cut, so the
+		// O(n) selection runs only when that can still reach thr.
+		var low float64
+		for j, x := range buf {
+			u := d1[j]
+			if a1[j] == p {
+				u = d2[j]
+			}
+			if u > env.cut {
+				low += x
+			}
+		}
+		// topSum reorders buf; the sort below makes the order irrelevant.
+		if sum-low >= thr && lowerBound(nc, sum, topSum(buf, dropUnits(t, nc))) >= thr {
+			r.stats.add(statSelection)
+			return math.Inf(1)
+		}
 		return partialCostUnit(buf, t)
 	}
 	ds := make([]cd, nc)

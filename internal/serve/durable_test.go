@@ -316,3 +316,82 @@ func TestPriorityHeapOrder(t *testing.T) {
 		t.Fatal("heap not empty")
 	}
 }
+
+// blockLog wraps a real journal and holds every job-finish append until
+// release is closed, announcing each one on entered.
+type blockLog struct {
+	journal.Log
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b blockLog) Append(kind journal.Kind, payload []byte) (journal.RecordRef, error) {
+	if kind == recJobFinish {
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	return b.Log.Append(kind, payload)
+}
+
+// TestFinishJournaledBeforePublish pins journal-before-publish for terminal
+// job states: while a job's finish record is still being appended, readers
+// must see the job in its previous state (running after a solve, queued
+// before a queue-deadline expiry), never a result a crash could lose.
+func TestFinishJournaledBeforePublish(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		spec       JobSpec
+		holdPool   bool // occupy the only worker so the job expires queued
+		wantBefore string
+		wantAfter  string
+	}{
+		{"execute", JobSpec{Dataset: "tbl", K: 3, T: 5, Seed: 42}, false, StatusRunning, StatusDone},
+		{"expiry", JobSpec{Dataset: "tbl", K: 2, T: 0, QueueTimeoutMS: 1}, true, StatusQueued, StatusFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, s := newAPI(t, Config{JournalDir: t.TempDir(), MaxConcurrentJobs: 1})
+			a.do("POST", "/v1/datasets", createDatasetRequest{Name: "tbl", Points: testPoints(200, 3, 7)},
+				http.StatusCreated, nil)
+			bl := blockLog{entered: make(chan struct{}, 1), release: make(chan struct{})}
+			s.mu.Lock()
+			bl.Log = s.jnl
+			s.jnl = bl
+			s.mu.Unlock()
+			hold := make(chan struct{})
+			if tc.holdPool {
+				if err := s.pool.Submit(func() { <-hold }); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			released := false
+			defer func() { // never leave a solve blocked behind a failed check
+				if !released {
+					close(bl.release)
+				}
+			}()
+			var j Job
+			a.do("POST", "/v1/jobs", tc.spec, http.StatusAccepted, &j)
+			if tc.holdPool {
+				time.Sleep(10 * time.Millisecond) // the 1ms deadline lapses while queued
+				close(hold)
+			}
+			select {
+			case <-bl.entered:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the finish record was never appended")
+			}
+			var mid Job
+			a.do("GET", "/v1/jobs/"+j.ID, nil, http.StatusOK, &mid)
+			if mid.Status != tc.wantBefore || mid.Result != nil || mid.Finished != nil {
+				t.Fatalf("during the finish append: status %s, result %v, finished %v; want %s with neither",
+					mid.Status, mid.Result != nil, mid.Finished != nil, tc.wantBefore)
+			}
+			close(bl.release)
+			released = true
+			if done := waitJob(t, a, j.ID); done.Status != tc.wantAfter {
+				t.Fatalf("after the append: status %s (%s), want %s", done.Status, done.Error, tc.wantAfter)
+			}
+		})
+	}
+}

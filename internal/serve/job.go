@@ -116,6 +116,11 @@ type Job struct {
 	// deadline is the queue-time expiry instant (zero = none); guarded by
 	// the server's job lock.
 	deadline time.Time
+	// finishing marks a queued job whose terminal record is being
+	// journaled (Server.finish): no other transition may claim it, and
+	// readers keep seeing it queued until the record is durable. Guarded
+	// by the server's job lock.
+	finishing bool
 }
 
 // JobResult is a finished job's payload.

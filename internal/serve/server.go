@@ -157,12 +157,13 @@ type Server struct {
 	ready     atomic.Bool
 	recovery  RecoveryStats
 
-	// snapMu is the snapshot barrier: dataset mutators hold it shared
-	// across their {journal, apply} pair (never nested — journalAppend
-	// itself does not take it), and Compact holds it exclusively across
-	// {capture state, checkpoint}, so a snapshot plus its suffix always
-	// replays to exactly the acknowledged state. Lock order: snapMu
-	// before mu or any dataset lock.
+	// snapMu is the snapshot barrier: dataset mutators and terminal job
+	// transitions (finish) hold it shared across their {journal, apply}
+	// pair (never nested — journalAppend itself does not take it), and
+	// Compact holds it exclusively across {capture state, checkpoint}, so
+	// a snapshot plus its suffix always replays to exactly the
+	// acknowledged state. Lock order: snapMu before mu or any dataset
+	// lock.
 	snapMu sync.RWMutex
 	// compactedAt is the journalAppended count at the last snapshot; the
 	// compaction loop skips a tick when nothing was appended since.
@@ -335,7 +336,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		now := time.Now()
 		for _, id := range s.order {
 			j := s.jobs[id]
-			if j.Status == StatusQueued {
+			if j.Status == StatusQueued && !j.finishing {
 				j.Status = StatusFailed
 				j.Error = "serve: server shutting down before the job started"
 				j.ErrorCode = CodeShuttingDown
@@ -453,27 +454,25 @@ func (s *Server) CancelJob(id string) (Job, error) {
 		s.mu.Unlock()
 		return Job{}, fmt.Errorf("serve: no job %q", id)
 	}
-	var finished bool
-	switch j.Status {
-	case StatusQueued:
-		j.Status = StatusCanceled
-		j.Error = "serve: canceled before the job started"
+	switch {
+	case j.Status == StatusQueued && !j.finishing:
+		// Terminal without passing through execute: journal it here so a
+		// replay does not resurrect a job the client canceled.
+		j.finishing = true
+		term := *j
+		s.mu.Unlock()
+		term.Status = StatusCanceled
+		term.Error = "serve: canceled before the job started"
 		now := time.Now()
-		j.Finished = &now
+		term.Finished = &now
+		s.finish(j, term)
 		s.counters.jobsCanceled.Add(1)
-		finished = true
-	case StatusRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
+		return term, nil
+	case j.Status == StatusRunning && j.cancel != nil:
+		j.cancel()
 	}
 	view := *j
 	s.mu.Unlock()
-	if finished {
-		// Terminal without passing through execute: journal it here so a
-		// replay does not resurrect a job the client canceled.
-		s.journalFinish(&view)
-	}
 	return view, nil
 }
 
@@ -1033,14 +1032,13 @@ func (s *Server) runNext() {
 			return
 		}
 		job := s.jobs[e.id]
-		if job == nil || job.Status != StatusQueued {
+		if job == nil || job.Status != StatusQueued || job.finishing {
 			s.mu.Unlock()
 			continue
 		}
-		if s.expireLocked(job, time.Now()) {
-			view := *job
+		if term, ok := s.expireLocked(job, time.Now()); ok {
 			s.mu.Unlock()
-			s.journalFinish(&view)
+			s.finishExpired(job, term)
 			continue
 		}
 		s.mu.Unlock()
@@ -1049,20 +1047,30 @@ func (s *Server) runNext() {
 	}
 }
 
-// expireLocked fails a queued job whose queue deadline has passed.
-// Returns whether it expired. Called with s.mu held.
-func (s *Server) expireLocked(job *Job, now time.Time) bool {
-	if job.Status != StatusQueued || job.deadline.IsZero() || now.Before(job.deadline) {
-		return false
+// expireLocked claims a queued job whose queue deadline has passed at now:
+// it marks the job finishing, so no other transition touches it, and
+// returns the failed terminal view for finishExpired to make durable and
+// publish. Readers keep seeing the job queued until then. Called with s.mu
+// held.
+func (s *Server) expireLocked(job *Job, now time.Time) (Job, bool) {
+	if job.Status != StatusQueued || job.finishing || job.deadline.IsZero() || now.Before(job.deadline) {
+		return Job{}, false
 	}
-	job.Status = StatusFailed
-	job.Error = fmt.Sprintf("serve: job %s expired after %v in queue", job.ID, now.Sub(job.Submitted).Round(time.Millisecond))
-	job.ErrorCode = CodeQueueDeadline
+	job.finishing = true
+	term := *job
+	term.Status = StatusFailed
+	term.Error = fmt.Sprintf("serve: job %s expired after %v in queue", job.ID, now.Sub(job.Submitted).Round(time.Millisecond))
+	term.ErrorCode = CodeQueueDeadline
 	fin := now
-	job.Finished = &fin
+	term.Finished = &fin
+	return term, true
+}
+
+// finishExpired journals and publishes a terminal view from expireLocked.
+func (s *Server) finishExpired(job *Job, term Job) {
+	s.finish(job, term)
 	s.counters.jobsFailed.Add(1)
 	s.counters.jobsExpired.Add(1)
-	return true
 }
 
 // execute runs one job on a pool worker and records the outcome. A panic
@@ -1075,8 +1083,9 @@ func (s *Server) execute(job *Job) {
 	defer cancel()
 
 	s.mu.Lock()
-	if job.Status != StatusQueued {
-		// Failed by a drain or cancelled while still queued; nothing to run.
+	if job.Status != StatusQueued || job.finishing {
+		// Failed by a drain, cancelled or expiring while still queued;
+		// nothing to run.
 		s.mu.Unlock()
 		return
 	}
@@ -1097,24 +1106,23 @@ func (s *Server) execute(job *Job) {
 	}()
 
 	s.mu.Lock()
+	term := *job
+	s.mu.Unlock()
 	end := time.Now()
-	job.Finished = &end
-	job.cancel = nil
+	term.Finished = &end
 	canceled := err != nil && ctx.Err() != nil
 	switch {
 	case canceled:
-		job.Status = StatusCanceled
-		job.Error = fmt.Sprintf("serve: job canceled: %v", err)
+		term.Status = StatusCanceled
+		term.Error = fmt.Sprintf("serve: job canceled: %v", err)
 	case err != nil:
-		job.Status = StatusFailed
-		job.Error = err.Error()
+		term.Status = StatusFailed
+		term.Error = err.Error()
 	default:
-		job.Status = StatusDone
-		job.Result = res
+		term.Status = StatusDone
+		term.Result = res
 	}
-	view := *job
-	s.mu.Unlock()
-	s.journalFinish(&view)
+	s.finish(job, term)
 	switch {
 	case canceled:
 		s.counters.jobsCanceled.Add(1)
@@ -1123,6 +1131,25 @@ func (s *Server) execute(job *Job) {
 	default:
 		s.counters.jobsDone.Add(1)
 	}
+}
+
+// finish makes a job terminal durably: term, a copy of job carrying its
+// terminal fields, is journaled first and only then published to job
+// under s.mu, so no reader (GET /v1/jobs/{id}, a waiter, the metrics) sees
+// a result that a crash before the append would lose. The snapshot barrier
+// is held shared across the pair, so a concurrent Compact captures either
+// the pre-terminal job with the finish record in its suffix, or the
+// published terminal state. A failed append still publishes: the solve is
+// over either way, and the job simply does not survive a restart.
+func (s *Server) finish(job *Job, term Job) {
+	s.snapMu.RLock()
+	defer s.snapMu.RUnlock()
+	s.journalFinish(&term)
+	s.mu.Lock()
+	job.Status, job.Error, job.ErrorCode = term.Status, term.Error, term.ErrorCode
+	job.Result, job.Finished = term.Result, term.Finished
+	job.cancel, job.finishing = nil, false
+	s.mu.Unlock()
 }
 
 // journalFinish records a job's terminal state (no-op without a journal).
@@ -1177,10 +1204,11 @@ func (s *Server) Compact() (CompactStats, error) {
 
 	// Exclusive barrier: no {journal, apply} pair is in flight while the
 	// state is captured and the checkpoint written, so snapshot + suffix
-	// replays to exactly the acknowledged state. Job transitions don't
-	// take the barrier — they apply before journaling, so the snapshot's
-	// memory view is always a superset of any job record it supersedes,
-	// and replay dedupes by job id.
+	// replays to exactly the acknowledged state. Terminal job transitions
+	// (finish) hold the barrier shared across {journal, publish}.
+	// Submissions and starts don't take it — they apply before journaling,
+	// so the snapshot's memory view is always a superset of any such
+	// record it supersedes, and replay dedupes by job id.
 	s.snapMu.Lock()
 	snap := s.buildSnapshot()
 	payload, err := json.Marshal(snap)
@@ -1294,7 +1322,11 @@ func (s *Server) gcLoop() {
 
 // sweep runs one GC pass at time now.
 func (s *Server) sweep(now time.Time) {
-	var expired []*Job
+	type expiry struct {
+		job  *Job
+		term Job
+	}
+	var expired []expiry
 	s.mu.Lock()
 	if s.cfg.JobTTL > 0 {
 		keep := s.order[:0]
@@ -1311,14 +1343,13 @@ func (s *Server) sweep(now time.Time) {
 	}
 	for _, id := range s.order {
 		j := s.jobs[id]
-		if j.Status == StatusQueued && s.expireLocked(j, now) {
-			view := *j
-			expired = append(expired, &view)
+		if term, ok := s.expireLocked(j, now); ok {
+			expired = append(expired, expiry{j, term})
 		}
 	}
 	s.mu.Unlock()
-	for _, j := range expired {
-		s.journalFinish(j)
+	for _, e := range expired {
+		s.finishExpired(e.job, e.term)
 	}
 }
 
