@@ -99,12 +99,10 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		eo := spec.EngineOptions()
 		sol := central.PartialMedian(req.Points, central.Config{
 			K: req.K, T: req.T, Levels: req.Levels, Eps: req.Eps,
 			Objective: cfg.Objective, Engine: cfg.Engine,
-			Opts:        kmedian.Options{Seed: req.Seed, Options: eo},
-			NoDistCache: eo.NoCache,
+			Opts: kmedian.Options{Seed: req.Seed, Options: spec.EngineOptions()},
 		})
 		return &Response{
 			Centers:       sol.Centers,

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"dpc/internal/bench"
+	"dpc/internal/engine"
 	"dpc/internal/metric"
 	"dpc/internal/tree"
 )
@@ -165,8 +166,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	for _, e := range selected {
-		baseOpts := bench.Options{Seed: *seed, Quick: quick, Reference: true}
-		tunedOpts := bench.Options{Seed: *seed, Quick: quick, Workers: *workers}
+		baseOpts := bench.Options{Seed: *seed, Quick: quick, Options: engine.Options{Reference: true}}
+		tunedOpts := bench.Options{Seed: *seed, Quick: quick, Options: engine.Options{Workers: *workers}}
 
 		t0 := time.Now()
 		baseTable := e.Run(baseOpts)

@@ -44,7 +44,7 @@ func main() {
 	req := client.Request{
 		Objective: client.Median, Variant: "2round", K: 3,
 		Sites: 8, Eps: 1, Seed: 1, Transport: "loopback",
-		Engine: engine.Spec{Options: engine.Options{Algo: "auto"}},
+		Engine: engine.Spec{Algo: "auto"},
 	}
 	client.BindFlags(flag.CommandLine, &req)
 	var (

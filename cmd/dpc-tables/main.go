@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dpc/internal/bench"
+	"dpc/internal/engine"
 )
 
 func main() {
@@ -72,7 +73,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	opts := bench.Options{Seed: *seed, Quick: *quick, Workers: *workers, Index: *index, Pivots: *pivots}
+	opts := bench.Options{Seed: *seed, Quick: *quick,
+		Options: engine.Options{Workers: *workers, Index: *index, Pivots: *pivots}}
 	for _, e := range selected {
 		t0 := time.Now()
 		table := e.Run(opts)

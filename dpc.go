@@ -45,13 +45,16 @@
 // # Engine
 //
 // Local solves run on a multi-core engine with memoized distance oracles.
-// Request.Workers (Config.Workers on the legacy surface) bounds the
-// per-solve goroutines (0 = one per CPU) with a hard invariant: results
-// are bit-identical for Workers=1 and Workers=N on every objective,
-// variant and transport. NoCache disables the distance caches (a
-// measurement knob — the caches are exact and never change results), and
-// Config.Reference runs the seed sequential implementation that
-// cmd/dpc-bench benchmarks the engine against.
+// Its knobs live in one block, EngineOptions, and every run config holds
+// exactly one copy: Request.Engine (an EngineSpec, which adds the k-median
+// algorithm choice) and Config.Options on the legacy surface. Workers
+// bounds the per-solve goroutines (0 = one per CPU) with a hard invariant:
+// results are bit-identical for Workers=1 and Workers=N on every
+// objective, variant and transport. NoCache disables the distance caches
+// (a measurement knob — the caches are exact and never change results),
+// Index layers the pivot metric index over them, and Reference runs the
+// seed sequential implementation that cmd/dpc-bench benchmarks the engine
+// against.
 //
 // # Legacy one-shot surface
 //
@@ -204,17 +207,18 @@ const (
 	EngineJV = kmedian.EngineJV
 )
 
-// EngineOptions is the consolidated engine-knob surface shared by every
-// entry point: algorithm choice (Algo), goroutine bound (Workers), the
-// memoized-oracle toggle (NoCache), the pivot-index toggle (Index, Pivots)
-// and the sequential reference switch (Reference). It embeds into
-// SolverOptions, Config.Options, the kcenter options and the job API's
-// "engine" object, so one spelling configures the engine everywhere.
+// EngineOptions is the engine-knob block shared by every entry point:
+// goroutine bound (Workers), the memoized-oracle toggle (NoCache), the
+// pivot-index toggle (Index, Pivots) and the sequential reference switch
+// (Reference). It embeds into SolverOptions, Config.Options, the kcenter
+// options and the job API's "engine" object, so one spelling configures
+// the engine everywhere.
 type EngineOptions = engine.Options
 
-// EngineSpec is EngineOptions plus its wire forms: a flag.Value taking
-// comma-separated tokens ("jv,index,pivots=32,workers=4") and a JSON
-// codec accepting both the legacy engine string and the structured object.
+// EngineSpec is the k-median algorithm choice (Algo) plus EngineOptions,
+// with their wire forms: a flag.Value taking comma-separated tokens
+// ("jv,index,pivots=32,workers=4") and a JSON codec accepting both the
+// legacy engine string and the structured object.
 type EngineSpec = engine.Spec
 
 // SolverOptions tunes the optimization engines (seed, iteration caps,
@@ -403,8 +407,8 @@ type ServeConfig = serve.Config
 type Server = serve.Server
 
 // JobSpec is one clustering job: a (k, t, objective) query against a
-// registered dataset, with per-job engine knobs (Workers, Engine, Seed)
-// mirroring Config's — zero values reproduce a one-shot Run bit for bit.
+// registered dataset, with a per-job Seed and engine spec (Engine) mirroring
+// Config's — zero values reproduce a one-shot Run bit for bit.
 type JobSpec = serve.JobSpec
 
 // JobResult is a finished job's centers, cost and measured footprint.

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"dpc/internal/engine"
 )
 
 // Options tunes an experiment run.
@@ -17,21 +19,11 @@ type Options struct {
 	// Quick shrinks instance sizes (used by the go-test benchmarks; the
 	// full sizes are for cmd/dpc-tables).
 	Quick bool
-	// Workers bounds solver goroutines (0 = one per CPU). Any value
-	// produces identical tables; it only moves wall-clock.
-	Workers int
-	// NoDistCache disables the memoized distance oracles (identical
-	// tables, different wall-clock).
-	NoDistCache bool
+	// Options are the engine knobs every experiment's solvers run with.
+	// Any setting produces identical tables; it only moves wall-clock.
 	// Reference runs every solver through the seed sequential engine —
-	// the baseline half of cmd/dpc-bench's engine comparison. Implies
-	// Workers=1 and NoDistCache.
-	Reference bool
-	// Index layers the pivot-based metric index over the solver oracles
-	// (identical tables — pruning is exact; different wall-clock). Pivots
-	// is its anchor count (0 = metric.DefaultPivots).
-	Index  bool
-	Pivots int
+	// the baseline half of cmd/dpc-bench's engine comparison.
+	engine.Options
 }
 
 // Table is one experiment's output.

@@ -7,7 +7,6 @@ import (
 	"dpc/internal/alloc"
 	"dpc/internal/central"
 	"dpc/internal/core"
-	"dpc/internal/engine"
 	"dpc/internal/gen"
 	"dpc/internal/geom"
 	"dpc/internal/kcenter"
@@ -27,43 +26,26 @@ func mkSites(n, k, s int, outFrac float64, mode gen.PartitionMode, seed int64) (
 // cmd/dpc-bench can run every experiment against the reference and the
 // fast engine. The knobs never change a table's contents, only wall-clock.
 func (o Options) coreCfg(cfg core.Config) core.Config {
-	cfg.Options = o.eng()
+	cfg.Options = o.Normalize()
 	return cfg
-}
-
-// eng is the harness knobs as the consolidated engine-option struct.
-func (o Options) eng() engine.Options {
-	return engine.Options{
-		Workers: o.Workers, NoCache: o.NoDistCache, Reference: o.Reference,
-		Index: o.Index, Pivots: o.Pivots,
-	}
 }
 
 // solverOpts applies the engine knobs to direct solver options.
 func (o Options) solverOpts(opts kmedian.Options) kmedian.Options {
-	ref := opts.Reference || o.Reference
-	opts.Options = o.eng()
-	opts.Reference = ref
+	opts.Options = o.Normalize()
 	return opts
 }
 
 // uncCfg applies the engine knobs to an uncertain run config.
 func (o Options) uncCfg(cfg uncertain.Config) uncertain.Config {
-	cfg.LocalOpts = o.solverOpts(cfg.LocalOpts)
-	cfg.NoDistCache = o.NoDistCache
+	cfg.LocalOpts.Options = o.Normalize()
 	return cfg
 }
 
 // cgCfg applies the engine knobs to an Algorithm 4 config.
 func (o Options) cgCfg(cfg uncertain.CenterGConfig) uncertain.CenterGConfig {
-	cfg.LocalOpts = o.solverOpts(cfg.LocalOpts)
-	cfg.NoDistCache = o.NoDistCache
+	cfg.LocalOpts.Options = o.Normalize()
 	return cfg
-}
-
-// kcOpt applies the engine knobs to the kcenter solvers.
-func (o Options) kcOpt() kcenter.Opt {
-	return o.eng()
 }
 
 // centralMedianCost is the centralized reference: the same engine on the
@@ -71,7 +53,7 @@ func (o Options) kcOpt() kcenter.Opt {
 // Lemma 3.5).
 func centralMedianCost(in gen.Instance, k, t int, squared bool, seed int64, o Options) float64 {
 	var sp metric.Space = in.Points()
-	if !o.Reference && !o.NoDistCache {
+	if !o.Reference && !o.NoCache {
 		sp = metric.CacheSpace(sp)
 	}
 	sp = metric.IndexSpace(sp, o.Index && !o.Reference, o.Pivots)
@@ -220,7 +202,7 @@ func E4Center(o Options) Table {
 		if err != nil {
 			panic(err)
 		}
-		central := kcenter.PartialOpt(in.Points(), nil, k, float64(tt), o.kcOpt())
+		central := kcenter.PartialOpt(in.Points(), nil, k, float64(tt), o.Normalize())
 		radius := core.Evaluate(in.Pts, two.Centers, two.OutlierBudget, core.Center)
 		ratio := math.Inf(1)
 		if central.Radius > 0 {
@@ -336,7 +318,7 @@ func E7Subquadratic(o Options) Table {
 		var secs [3]float64
 		var costs [3]float64
 		for lvl := 0; lvl <= 2; lvl++ {
-			sol := central.PartialMedian(in.Pts, central.Config{K: k, T: tt, Levels: lvl, Opts: opts, NoDistCache: o.NoDistCache})
+			sol := central.PartialMedian(in.Pts, central.Config{K: k, T: tt, Levels: lvl, Opts: opts})
 			secs[lvl] = sol.Elapsed.Seconds()
 			costs[lvl] = sol.Cost
 		}

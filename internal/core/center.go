@@ -18,8 +18,7 @@ type centerSite struct {
 	cfg     Config
 	site    int
 	pts     []metric.Point
-	space   metric.Space // cached unless cfg.NoDistCache
-	kcOpt   kcenter.Opt
+	space   metric.Space // cached unless cfg.NoCache
 	trav    kcenter.Traversal
 	fn      geom.ConvexFn
 	budget  int
@@ -39,12 +38,12 @@ func newCenterSite(cfg Config, site int, pts []metric.Point, o metric.Oracle) *c
 		space = o
 	} else {
 		space = metric.NewPoints(pts)
-		if !cfg.NoDistCache {
+		if !cfg.NoCache {
 			space = metric.CacheSpace(space)
 		}
 		space = metric.IndexSpace(space, cfg.Index, cfg.Pivots)
 	}
-	return &centerSite{cfg: cfg, site: site, pts: pts, space: space, kcOpt: cfg.solverOpt()}
+	return &centerSite{cfg: cfg, site: site, pts: pts, space: space}
 }
 
 // start runs the Gonzalez traversal lazily on the first round, so the
@@ -57,7 +56,7 @@ func (st *centerSite) start() {
 		return
 	}
 	st.started = true
-	st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.kcOpt)
+	st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.cfg.Options)
 }
 
 // handle implements transport.Handler for Algorithm 2's site side.
@@ -119,7 +118,7 @@ func (st *centerSite) payload() comm.Payload {
 	if m > len(st.trav.Order) {
 		m = len(st.trav.Order)
 	}
-	_, counts, _ := st.trav.AssignPrefixOpt(st.space, m, nil, st.kcOpt)
+	_, counts, _ := st.trav.AssignPrefixOpt(st.space, m, nil, st.cfg.Options)
 	pts := make([]metric.Point, m)
 	for c := 0; c < m; c++ {
 		pts[c] = st.pts[st.trav.Order[c]]
@@ -136,7 +135,7 @@ func (st *centerSite) noShipPayload(k int) comm.Payload {
 		k = len(st.trav.Order)
 	}
 	n := len(st.pts)
-	assign, _, _ := st.trav.AssignPrefixOpt(st.space, k, nil, st.kcOpt)
+	assign, _, _ := st.trav.AssignPrefixOpt(st.space, k, nil, st.cfg.Options)
 	dist := make([]float64, n)
 	order := make([]int, n)
 	for j := 0; j < n; j++ {
@@ -215,7 +214,7 @@ func runCenter(nw *comm.Network, cfg Config) (Result, error) {
 		// No distance cache here: PartialOpt's fast engine materializes
 		// its own distance columns once.
 		space := metric.NewPoints(pts)
-		sol := kcenter.PartialOpt(space, wts, cfg.K, float64(cfg.T), cfg.solverOpt())
+		sol := kcenter.PartialOpt(space, wts, cfg.K, float64(cfg.T), cfg.Options)
 		result.Centers = pointsAt(pts, sol.Centers)
 		result.CoordinatorClients = len(pts)
 		result.CoordinatorCost = sol.Radius

@@ -22,7 +22,6 @@ import (
 
 	"dpc/internal/comm"
 	"dpc/internal/engine"
-	"dpc/internal/kcenter"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/transport"
@@ -121,37 +120,16 @@ type Config struct {
 	// from LocalOpts.Seed + site index.
 	LocalOpts kmedian.Options
 
-	// Options is the unified engine-knob block (workers, cache, reference,
-	// pivot index) shared with kmedian.Options, kcenter.Opt, serve.JobSpec
-	// and client.Request. The embedded fields are authoritative after
-	// withDefaults; the flat Workers/NoDistCache/Reference fields below are
-	// deprecated aliases merged into it for callers predating the block.
+	// Options is the engine-knob block (workers, cache, reference, pivot
+	// index) shared with kmedian.Options, kcenter.Opt, serve.JobSpec and
+	// client.Request. Workers bounds the goroutines of every local solve
+	// (0 = one per CPU); Reference runs the seed sequential engine
+	// everywhere — the regression baseline cmd/dpc-bench and the parity
+	// tests compare the fast engine against. None of the knobs changes a
+	// result, only wall-clock and memory. withDefaults normalizes the block
+	// and copies it into LocalOpts.
 	engine.Options
 
-	// Workers bounds the goroutines of every local solve (site-side JV,
-	// local search, farthest-point scans and the coordinator solve). 0 —
-	// the default — means one worker per CPU (runtime.NumCPU()). Results
-	// are bit-identical for every value: the engines only use
-	// order-independent parallel loops and fixed-tie-break reductions.
-	//
-	// Deprecated: set Options.Workers; this flat alias is merged into the
-	// embedded block by withDefaults and kept for compatibility.
-	Workers int
-	// NoDistCache disables the memoized distance oracles that back the
-	// site and coordinator solves. It never changes results (the caches
-	// store exactly the computed distances); it exists so benchmarks can
-	// measure the cache's contribution.
-	//
-	// Deprecated: set Options.NoCache; this flat alias is merged into the
-	// embedded block by withDefaults and kept for compatibility.
-	NoDistCache bool
-	// Reference runs the seed sequential engine everywhere (implies
-	// Workers=1 and NoDistCache): the regression baseline that
-	// cmd/dpc-bench and the parity tests compare the fast engine against.
-	//
-	// Deprecated: set Options.Reference; this flat alias is merged into
-	// the embedded block by withDefaults and kept for compatibility.
-	Reference bool
 	// Sequential disables parallel site execution (used by the
 	// centralized simulation of Section 3.1, where total work matters).
 	// Loopback transport only; TCP sites always run concurrently.
@@ -191,25 +169,11 @@ func (c Config) withDefaults() Config {
 	if c.HullBase == 0 {
 		c.HullBase = 2
 	}
-	// Merge the deprecated flat aliases into the embedded engine block,
-	// normalize (Reference implies sequential, uncached, unindexed), then
-	// mirror back so both spellings read the same everywhere below.
-	c.Options = c.Options.Merge(c.Workers, c.NoDistCache, c.Reference).Normalize()
-	c.Workers = c.Options.Workers
-	c.NoDistCache = c.Options.NoCache
-	c.Reference = c.Options.Reference
-	if c.Workers != 0 {
-		c.LocalOpts.Workers = c.Workers
-	}
-	c.LocalOpts.Reference = c.LocalOpts.Reference || c.Reference
+	// Normalize (Reference implies sequential, uncached, unindexed) and
+	// hand the one engine block to the site-side solver.
+	c.Options = c.Options.Normalize()
+	c.LocalOpts.Options = c.Options
 	return c
-}
-
-// solverOpt translates the config's engine knobs for the kcenter solvers.
-// cfg must already have defaults applied, so the embedded block carries the
-// merged flat aliases.
-func (c Config) solverOpt() kcenter.Opt {
-	return c.Options
 }
 
 // Result is the outcome of a distributed run.
@@ -343,21 +307,6 @@ func NewSiteHandler(cfg Config, site int, pts []metric.Point) (transport.Handler
 	return NewSiteHandlerOracle(cfg, site, pts, nil)
 }
 
-// NewSiteHandlerCached is NewSiteHandler with an externally owned distance
-// cache over pts.
-//
-// Deprecated: DistCache satisfies metric.Oracle, so this is now a thin
-// wrapper over NewSiteHandlerOracle; call that to also share a pivot index
-// (or any other oracle) across jobs.
-//
-//dpc:vet-ok oracleguard deprecated pre-Oracle compat shim; new callers use NewSiteHandlerOracle
-func NewSiteHandlerCached(cfg Config, site int, pts []metric.Point, cache *metric.DistCache) (transport.Handler, error) {
-	if cache == nil {
-		return NewSiteHandlerOracle(cfg, site, pts, nil)
-	}
-	return NewSiteHandlerOracle(cfg, site, pts, cache)
-}
-
 // NewSiteHandlerOracle is NewSiteHandler with an externally owned distance
 // oracle over pts. A long-running site (the job server's in-process shards,
 // or dpc-site -persist) builds one oracle per shard — a DistCache, or a
@@ -366,7 +315,8 @@ func NewSiteHandlerCached(cfg Config, site int, pts []metric.Point, cache *metri
 // warm across jobs. Oracles are exact, so results are bit-identical to a
 // private-oracle run. o may be nil (a private oracle is built per the
 // engine policy in cfg); it must be built over exactly pts, and it is
-// ignored when cfg.NoDistCache or cfg.Reference asks for raw solves.
+// ignored when cfg.NoCache (or cfg.Reference, which implies it) asks for
+// raw solves.
 func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Oracle) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
@@ -379,7 +329,7 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 		return nil, fmt.Errorf("core: negative site id %d", site)
 	}
 	if o != nil {
-		if cfg.NoDistCache {
+		if cfg.NoCache {
 			o = nil
 		} else if o.N() != len(pts) {
 			return nil, fmt.Errorf("core: site %d oracle over %d points, shard has %d", site, o.N(), len(pts))

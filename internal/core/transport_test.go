@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dpc/internal/engine"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/transport"
@@ -157,7 +158,7 @@ func TestConfigWireRoundTrip(t *testing.T) {
 		LocalOpts: kmedian.Options{
 			Seed: -12345, MaxIters: 17, SampleFacilities: -1, Restarts: 2,
 		},
-		Workers: 3, NoDistCache: true,
+		Options: engine.Options{Workers: 3, NoCache: true},
 	}
 	out, err := DecodeConfig(EncodeConfig(in))
 	if err != nil {
@@ -177,11 +178,11 @@ func TestConfigWireRoundTrip(t *testing.T) {
 	}
 	// Reference mode must survive the handshake (a measurement run's
 	// baseline semantics depend on the sites honoring it).
-	ref, err := DecodeConfig(EncodeConfig(Config{K: 1, Reference: true}))
+	ref, err := DecodeConfig(EncodeConfig(Config{K: 1, Options: engine.Options{Reference: true}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ref.Reference || !ref.NoDistCache || ref.Workers != 1 || !ref.LocalOpts.Reference {
+	if !ref.Reference || !ref.NoCache || ref.Workers != 1 || !ref.LocalOpts.Reference {
 		t.Fatalf("reference knobs lost in handshake: %+v", ref)
 	}
 	if _, err := DecodeConfig([]byte{1, 2, 3}); err == nil {
@@ -190,10 +191,10 @@ func TestConfigWireRoundTrip(t *testing.T) {
 }
 
 // TestConfigWireIndexKnobs: version 3 carries the pivot-index knobs to the
-// sites, and the decoder still accepts an index-less version-2 record (as an
-// older coordinator would ship during a rolling upgrade).
+// sites, and the decoder rejects the retired index-less version-2 record
+// instead of guessing at its missing fields.
 func TestConfigWireIndexKnobs(t *testing.T) {
-	in := Config{K: 5, T: 10, Workers: 2}
+	in := Config{K: 5, T: 10, Options: engine.Options{Workers: 2}}
 	in.Options.Index = true
 	in.Options.Pivots = 24
 	b := EncodeConfig(in)
@@ -208,25 +209,16 @@ func TestConfigWireIndexKnobs(t *testing.T) {
 		t.Fatalf("index knobs lost in handshake: %+v", out.Options)
 	}
 
-	// A version-2 record is the same layout minus the index tail: truncate
-	// and restamp. It must decode cleanly with the index off.
-	v2 := append([]byte(nil), b[:configWireSizeV2]...)
-	v2[0] = configWireVersionV2
-	old, err := DecodeConfig(v2)
-	if err != nil {
-		t.Fatalf("version-2 record rejected: %v", err)
+	// A version-2 record is the same layout minus the index tail
+	// (Index byte, Pivots uint64). It is no longer a supported format.
+	v2 := append([]byte(nil), b[:configWireSize-9]...)
+	v2[0] = 2
+	if _, err := DecodeConfig(v2); err == nil {
+		t.Fatal("version-2 record accepted")
 	}
-	if old.Options.Index || old.Options.Pivots != 0 {
-		t.Fatalf("version-2 decode invented index knobs: %+v", old.Options)
-	}
-	if old.K != 5 || old.T != 10 || old.Workers != 2 {
-		t.Fatalf("version-2 decode lost shared fields: %+v", old)
-	}
-
-	// A v3-stamped record of v2 length (and vice versa) is malformed.
-	bad := append([]byte(nil), v2...)
-	bad[0] = configWireVersion
-	if _, err := DecodeConfig(bad); err == nil {
+	// A v3-stamped record of v2 length is malformed too.
+	v2[0] = configWireVersion
+	if _, err := DecodeConfig(v2); err == nil {
 		t.Fatal("short version-3 record accepted")
 	}
 	if _, err := DecodeConfig(append(b, 0)); err == nil {

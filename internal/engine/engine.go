@@ -1,8 +1,10 @@
 // Package engine holds the one set of solver-engine knobs shared by every
-// layer of the stack: the root dpc.Config, kmedian.Options, kcenter.Opt and
-// client.Request all embed (or alias) engine.Options, so "which engine, how
-// many workers, which caches, which index" is said in exactly one vocabulary
-// from the CLI flags down to the per-site solvers.
+// layer of the stack: the root dpc.Config, kmedian.Options and kcenter.Opt
+// embed (or alias) engine.Options, and client.Request / serve.JobSpec carry
+// it inside a Spec next to the k-median algorithm choice. Every run config
+// holds exactly one copy, so "how many workers, which caches, which index"
+// is said in one vocabulary from the CLI flags down to the per-site
+// solvers.
 //
 // The knobs never change results — every configuration returns centers
 // bit-identical to the Reference engine — they only move wall-clock and
@@ -19,27 +21,24 @@ import (
 )
 
 // Options are the consolidated engine knobs. The zero value is the default
-// fast engine: auto algorithm selection, one worker per CPU, memoized
-// distance caches on, no pivot index.
+// fast engine: one worker per CPU, memoized distance caches on, no pivot
+// index.
 type Options struct {
-	// Algo selects the k-median algorithm: "" or "auto" (default),
-	// "localsearch", or "jv". Non-median solvers ignore it.
-	Algo string `json:"algo,omitempty" usage:"k-median engine: auto | localsearch | jv"`
 	// Workers bounds per-solve goroutines (0 = one per CPU); results are
 	// bit-identical for every value.
-	Workers int `json:"workers,omitempty" usage:"solver goroutines per solve (0 = one per CPU)"`
+	Workers int `json:"workers,omitempty"`
 	// NoCache disables the memoized distance oracles (a measurement knob;
 	// results never change).
-	NoCache bool `json:"no_cache,omitempty" usage:"disable memoized distance caches (measurement knob)"`
+	NoCache bool `json:"no_cache,omitempty"`
 	// Reference runs the seed sequential algorithms — the baseline half of
 	// every engine comparison. Implies Workers=1, NoCache and no index.
-	Reference bool `json:"reference,omitempty" usage:"run the sequential reference engine (implies workers=1, no caches, no index)"`
+	Reference bool `json:"reference,omitempty"`
 	// Index enables the pivot-based metric index: triangle-inequality lower
 	// bounds prune candidate scans, with results still bit-identical (the
 	// index falls back to full scans when its metric self-check fails).
-	Index bool `json:"index,omitempty" usage:"enable the pivot metric index (triangle-inequality pruning; results unchanged)"`
+	Index bool `json:"index,omitempty"`
 	// Pivots is the index anchor count (0 = default, currently 16).
-	Pivots int `json:"pivots,omitempty" usage:"pivot count for the metric index (0 = default)"`
+	Pivots int `json:"pivots,omitempty"`
 }
 
 // Normalize resolves implied settings: the Reference engine is the seed
@@ -54,40 +53,31 @@ func (o Options) Normalize() Options {
 	return o
 }
 
-// Merge overlays o on top of legacy flat knobs: a zero field in o adopts the
-// legacy value. This is how deprecated flat Workers/NoCache fields on
-// Config/Request keep working next to the embedded struct.
-func (o Options) Merge(workers int, noCache, reference bool) Options {
-	if o.Workers == 0 {
-		o.Workers = workers
-	}
-	o.NoCache = o.NoCache || noCache
-	o.Reference = o.Reference || reference
-	return o
-}
-
-// Spec is Options plus wire/CLI ergonomics: it unmarshals from either the
-// legacy JSON string form ("jv" — just the algorithm) or the full object
-// form ({"algo":"jv","index":true,"pivots":16}), and it implements
-// flag.Value so one -engine flag accepts "jv" or
-// "jv,index,workers=4,pivots=16".
+// Spec is the k-median algorithm choice plus Options, with wire/CLI
+// ergonomics: it unmarshals from either the legacy JSON string form ("jv" —
+// just the algorithm) or the full object form
+// ({"algo":"jv","index":true,"pivots":16}), and it implements flag.Value so
+// one -engine flag accepts "jv" or "jv,index,workers=4,pivots=16".
 type Spec struct {
+	// Algo selects the k-median algorithm: "" or "auto" (default),
+	// "localsearch", or "jv". Non-median solvers ignore it.
+	Algo string `json:"algo,omitempty"`
 	Options
 }
 
 // IsZero reports whether every knob is at its default.
-func (s Spec) IsZero() bool { return s.Options == Options{} }
+func (s Spec) IsZero() bool { return s == Spec{} }
 
 // MarshalJSON emits the compact string form when only Algo is set (the wire
 // shape every pre-index client and journal record used), and the object form
 // otherwise.
 func (s Spec) MarshalJSON() ([]byte, error) {
-	if o := s.Options; o == (Options{Algo: o.Algo}) {
-		return []byte(strconv.Quote(o.Algo)), nil
+	if s.Options == (Options{}) {
+		return json.Marshal(s.Algo)
 	}
 	// Alias strips Spec's methods so the object form marshals plainly.
-	type alias Options
-	return json.Marshal(alias(s.Options))
+	type alias Spec
+	return json.Marshal(alias(s))
 }
 
 // UnmarshalJSON accepts both wire shapes.
@@ -97,19 +87,19 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 		return nil
 	}
 	if strings.HasPrefix(t, "\"") {
-		algo, err := strconv.Unquote(t)
-		if err != nil {
+		var algo string
+		if err := json.Unmarshal(b, &algo); err != nil {
 			return fmt.Errorf("engine: bad string spec %s: %w", t, err)
 		}
-		s.Options = Options{Algo: algo}
+		*s = Spec{Algo: algo}
 		return nil
 	}
-	type alias Options
+	type alias Spec
 	var a alias
 	if err := json.Unmarshal(b, &a); err != nil {
 		return fmt.Errorf("engine: bad spec object: %w", err)
 	}
-	s.Options = Options(a)
+	*s = Spec(a)
 	return nil
 }
 
@@ -145,7 +135,7 @@ func (s *Spec) String() string {
 // "nocache" / "reference" flip the booleans, and "workers=N" / "pivots=N"
 // set the counts.
 func (s *Spec) Set(v string) error {
-	out := Options{}
+	out := Spec{}
 	for _, tok := range strings.Split(v, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -179,7 +169,7 @@ func (s *Spec) Set(v string) error {
 			return fmt.Errorf("engine: unknown token %q (want %s)", tok, strings.Join(specKeys, " | "))
 		}
 	}
-	s.Options = out
+	*s = out
 	return nil
 }
 

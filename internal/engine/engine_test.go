@@ -22,27 +22,14 @@ func TestNormalizeReferenceImplies(t *testing.T) {
 	}
 }
 
-func TestMergeLegacyFlats(t *testing.T) {
-	// Zero embedded fields adopt the deprecated flat knobs...
-	m := Options{}.Merge(4, true, false)
-	if m.Workers != 4 || !m.NoCache || m.Reference {
-		t.Fatalf("Merge(4, nocache) = %+v", m)
-	}
-	// ...but explicit embedded values win, and booleans only ever turn on.
-	m = Options{Workers: 2, NoCache: true}.Merge(8, false, true)
-	if m.Workers != 2 || !m.NoCache || !m.Reference {
-		t.Fatalf("Merge kept wrong fields: %+v", m)
-	}
-}
-
 func TestSpecJSONStringForm(t *testing.T) {
 	// Legacy wire shape: a bare string is just the algorithm.
 	var s Spec
 	if err := json.Unmarshal([]byte(`"jv"`), &s); err != nil {
 		t.Fatal(err)
 	}
-	if s.Options != (Options{Algo: "jv"}) {
-		t.Fatalf("string form decoded to %+v", s.Options)
+	if s != (Spec{Algo: "jv"}) {
+		t.Fatalf("string form decoded to %+v", s)
 	}
 	// And an algo-only spec marshals back to exactly that string, so
 	// pre-index journals and clients keep seeing the shape they wrote.
@@ -56,7 +43,7 @@ func TestSpecJSONStringForm(t *testing.T) {
 }
 
 func TestSpecJSONObjectForm(t *testing.T) {
-	in := Spec{Options{Algo: "localsearch", Workers: 4, Index: true, Pivots: 24}}
+	in := Spec{Algo: "localsearch", Options: Options{Workers: 4, Index: true, Pivots: 24}}
 	b, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +53,7 @@ func TestSpecJSONObjectForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out != in {
-		t.Fatalf("object round trip %s decoded to %+v", b, out.Options)
+		t.Fatalf("object round trip %s decoded to %+v", b, out)
 	}
 	// null leaves the spec untouched (absent field in a containing struct).
 	prev := out
@@ -74,7 +61,7 @@ func TestSpecJSONObjectForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out != prev {
-		t.Fatalf("null mutated the spec: %+v", out.Options)
+		t.Fatalf("null mutated the spec: %+v", out)
 	}
 }
 
@@ -83,31 +70,31 @@ func TestSpecFlagTokens(t *testing.T) {
 	if err := s.Set("jv,index,pivots=32,workers=4,nocache"); err != nil {
 		t.Fatal(err)
 	}
-	want := Options{Algo: "jv", Workers: 4, NoCache: true, Index: true, Pivots: 32}
-	if s.Options != want {
-		t.Fatalf("Set parsed %+v, want %+v", s.Options, want)
+	want := Spec{Algo: "jv", Options: Options{Workers: 4, NoCache: true, Index: true, Pivots: 32}}
+	if s != want {
+		t.Fatalf("Set parsed %+v, want %+v", s, want)
 	}
 	// String renders a form Set parses back to the same options.
 	var rt Spec
 	if err := rt.Set(s.String()); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Options != s.Options {
-		t.Fatalf("String/Set round trip: %+v vs %+v", rt.Options, s.Options)
+	if rt != s {
+		t.Fatalf("String/Set round trip: %+v vs %+v", rt, s)
 	}
 	// Set replaces, not merges: a later -engine flag wins outright.
 	if err := s.Set("reference"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Options != (Options{Reference: true}) {
-		t.Fatalf("Set did not replace: %+v", s.Options)
+	if s != (Spec{Options: Options{Reference: true}}) {
+		t.Fatalf("Set did not replace: %+v", s)
 	}
 	// Spaces and empty tokens are tolerated.
 	if err := s.Set(" auto , index ,"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Options != (Options{Algo: "auto", Index: true}) {
-		t.Fatalf("Set with spaces parsed %+v", s.Options)
+	if s != (Spec{Algo: "auto", Options: Options{Index: true}}) {
+		t.Fatalf("Set with spaces parsed %+v", s)
 	}
 }
 
@@ -124,58 +111,6 @@ func TestSpecFlagErrors(t *testing.T) {
 	}
 }
 
-// A Spec carrying the knobs that collide with the deprecated flat
-// Workers/NoCache fields must survive both round trips — flag (String→Set)
-// and JSON (Marshal→Unmarshal) — and then merge against conflicting flat
-// values with the documented precedence. This is the path a journaled job
-// takes on replay, so drift here means replicas disagree.
-func TestSpecRoundTripThenMergeConflicts(t *testing.T) {
-	in := Spec{Options{Algo: "jv", Workers: 2, NoCache: false}}
-
-	var viaFlag Spec
-	if err := viaFlag.Set(in.String()); err != nil {
-		t.Fatal(err)
-	}
-	if viaFlag != in {
-		t.Fatalf("flag round trip: %+v, want %+v", viaFlag.Options, in.Options)
-	}
-
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaJSON Spec
-	if err := json.Unmarshal(b, &viaJSON); err != nil {
-		t.Fatal(err)
-	}
-	if viaJSON != in {
-		t.Fatalf("JSON round trip %s: %+v, want %+v", b, viaJSON.Options, in.Options)
-	}
-
-	// Negative case: conflicting flat values lose to structured non-zero
-	// fields, and both round-tripped copies merge identically.
-	want := Options{Algo: "jv", Workers: 2, NoCache: true}
-	for name, s := range map[string]Spec{"flag": viaFlag, "json": viaJSON} {
-		if got := s.Options.Merge(8, true, false).Normalize(); got != want {
-			t.Errorf("%s copy merged to %+v, want %+v", name, got, want)
-		}
-	}
-}
-
-// The string wire form carries only the algorithm, so flat knobs are the
-// sole source for the rest — merging must adopt them all.
-func TestSpecStringFormMergesFlats(t *testing.T) {
-	var s Spec
-	if err := json.Unmarshal([]byte(`"localsearch"`), &s); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Options.Merge(6, true, false).Normalize()
-	want := Options{Algo: "localsearch", Workers: 6, NoCache: true}
-	if got != want {
-		t.Fatalf("string-form merge = %+v, want %+v", got, want)
-	}
-}
-
 func TestSpecIsZero(t *testing.T) {
 	var s Spec
 	if !s.IsZero() {
@@ -188,4 +123,37 @@ func TestSpecIsZero(t *testing.T) {
 	if s := (Spec{}); s.String() != "" {
 		t.Fatalf("zero Spec renders %q", s.String())
 	}
+}
+
+// FuzzEngineSpec feeds arbitrary bytes to both Spec decoders: neither may
+// panic, an accepted JSON value must survive MarshalJSON -> UnmarshalJSON
+// unchanged, and an accepted flag value must survive String -> Set.
+func FuzzEngineSpec(f *testing.F) {
+	for _, seed := range []string{
+		`"jv"`, `""`, `null`, `{"algo":"localsearch","workers":4,"index":true,"pivots":24}`,
+		`{"reference":true,"no_cache":true}`, `"\u00e9\/"`, `"\u0000"`, `{"workers":"four"}`,
+		"jv,index,pivots=32,workers=4,nocache", "reference", " auto , index ,", "workers=+7", "depth=3",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var s Spec
+		if err := s.UnmarshalJSON(in); err == nil {
+			b, err := json.Marshal(s)
+			if err != nil {
+				t.Fatalf("accepted %q but cannot marshal %+v: %v", in, s, err)
+			}
+			var back Spec
+			if err := json.Unmarshal(b, &back); err != nil || back != s {
+				t.Fatalf("JSON round trip of %q: %s decoded to %+v (%v), want %+v", in, b, back, err, s)
+			}
+		}
+		var fl Spec
+		if err := fl.Set(string(in)); err == nil {
+			var back Spec
+			if err := back.Set(fl.String()); err != nil || back != fl {
+				t.Fatalf("flag round trip of %q: %q parsed to %+v (%v), want %+v", in, fl.String(), back, err, fl)
+			}
+		}
+	})
 }

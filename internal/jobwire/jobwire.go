@@ -3,9 +3,8 @@
 // persistent sites before each protocol run, and the site-side factory
 // that turns such a frame into the right transport.Handler.
 //
-// PR 3 introduced job frames carrying a bare core.EncodeConfig record, which
-// could only express the point objectives. The envelope here adds a kind
-// byte so one connected site fleet serves every protocol in the repository:
+// Every frame is an envelope: a magic byte, then a kind byte, so one
+// connected site fleet serves every protocol in the repository:
 //
 //   - KindPoint: Algorithm 1/2 over the site's point shard (the config
 //     payload stays the exact core.EncodeConfig record, so the byte-parity
@@ -15,9 +14,8 @@
 //     round-trip exactly through encoding/json).
 //   - KindCenterG: Algorithm 4 (uncertain center-g) over the node shard.
 //
-// A legacy frame (raw core.EncodeConfig, first byte = its version number)
-// is still decoded as KindPoint, so an old coordinator can drive a new
-// site.
+// A frame without the magic byte (such as a bare core.EncodeConfig record)
+// is rejected, never guessed at.
 package jobwire
 
 import (
@@ -56,9 +54,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("jobwire.Kind(%d)", byte(k))
 }
 
-// magic is the first byte of an enveloped job frame. It is chosen to be
-// distinguishable from a raw core.EncodeConfig record, whose first byte is
-// the (small) config wire version.
+// magic is the first byte of every job frame.
 const magic = 0xDC
 
 // Job is one decoded job frame.
@@ -101,18 +97,14 @@ func Encode(j Job) ([]byte, error) {
 	return nil, fmt.Errorf("jobwire: unknown job kind %v", j.Kind)
 }
 
-// Decode parses a job frame. A frame without the envelope magic is treated
-// as a legacy raw core.EncodeConfig record (KindPoint).
+// Decode parses a job frame; a frame without the envelope magic is an
+// error.
 func Decode(b []byte) (Job, error) {
 	if len(b) == 0 {
 		return Job{}, fmt.Errorf("jobwire: empty job frame")
 	}
 	if b[0] != magic {
-		cfg, err := core.DecodeConfig(b)
-		if err != nil {
-			return Job{}, fmt.Errorf("jobwire: legacy job frame: %w", err)
-		}
-		return Job{Kind: KindPoint, Core: cfg}, nil
+		return Job{}, fmt.Errorf("jobwire: bad job frame magic %#x, want %#x", b[0], magic)
 	}
 	if len(b) < 2 {
 		return Job{}, fmt.Errorf("jobwire: truncated job frame")

@@ -1,10 +1,12 @@
 package jobwire
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"dpc/internal/core"
+	"dpc/internal/engine"
 	"dpc/internal/kmedian"
 	"dpc/internal/uncertain"
 )
@@ -12,7 +14,7 @@ import (
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []Job{
 		{Kind: KindPoint, Core: core.Config{K: 5, T: 40, Objective: core.Center,
-			LocalOpts: kmedian.Options{Seed: 9}, Workers: 3}},
+			LocalOpts: kmedian.Options{Seed: 9}, Options: engine.Options{Workers: 3}}},
 		{Kind: KindUncertain, Obj: uncertain.CenterPP,
 			Unc: uncertain.Config{K: 2, T: 7, Eps: 0.5, LocalOpts: kmedian.Options{Seed: -4}}},
 		{Kind: KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 11, TauBase: 4, OneRound: true}},
@@ -52,15 +54,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyFrameDecodesAsPoint: a raw core.EncodeConfig blob (the PR 3
-// job-frame format) still decodes, as a point job.
-func TestLegacyFrameDecodesAsPoint(t *testing.T) {
+// TestLegacyFrameRejected: a raw core.EncodeConfig blob without the
+// envelope (the retired first job-frame format) is an error, not a point
+// job.
+func TestLegacyFrameRejected(t *testing.T) {
 	cfg := core.Config{K: 4, T: 9, LocalOpts: kmedian.Options{Seed: 2}}
-	j, err := Decode(core.EncodeConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Kind != KindPoint || j.Core.K != 4 || j.Core.T != 9 {
+	if j, err := Decode(core.EncodeConfig(cfg)); err == nil {
 		t.Fatalf("legacy frame decoded to %+v", j)
 	}
 }
@@ -71,4 +70,46 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			t.Fatalf("decoded garbage %v", b)
 		}
 	}
+}
+
+// FuzzJobFrame feeds arbitrary bytes to the site-side frame decoder (and
+// through it core.DecodeConfig and the uncertain JSON payloads): Decode
+// must never panic, and an accepted frame must re-encode to a frame that
+// decodes to the same Job.
+func FuzzJobFrame(f *testing.F) {
+	seeds := []Job{
+		{Kind: KindPoint, Core: core.Config{K: 5, T: 40, Objective: core.Center,
+			LocalOpts: kmedian.Options{Seed: 9}, Options: engine.Options{Workers: 3, Index: true, Pivots: 7}}},
+		{Kind: KindUncertain, Obj: uncertain.CenterPP,
+			Unc: uncertain.Config{K: 2, T: 7, Eps: 0.5, LocalOpts: kmedian.Options{Seed: -4}}},
+		{Kind: KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 11, TauBase: 4, OneRound: true}},
+	}
+	for _, j := range seeds {
+		b, err := Encode(j)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add(core.EncodeConfig(core.Config{K: 4, T: 9}))
+	f.Add(append([]byte{magic, byte(KindUncertain)}, `{"obj":1,"cfg":{"K":2,"topology":{"branch":5}}}`...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		j, err := Decode(b)
+		if err != nil {
+			return
+		}
+		re, err := Encode(j)
+		if err != nil {
+			t.Fatalf("accepted frame %x does not re-encode: %v", b, err)
+		}
+		back, err := Decode(re)
+		if err != nil {
+			t.Fatalf("re-encoded frame %x rejected: %v", re, err)
+		}
+		// %#v compares NaN fields (a config record may carry any float
+		// bits) as equal, where reflect.DeepEqual would not.
+		if got, want := fmt.Sprintf("%#v", back), fmt.Sprintf("%#v", j); got != want {
+			t.Fatalf("frame %x decoded to\n%s\nre-encoded frame decoded to\n%s", b, want, got)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -393,5 +394,62 @@ func TestFinishJournaledBeforePublish(t *testing.T) {
 				t.Fatalf("after the append: status %s (%s), want %s", done.Status, done.Error, tc.wantAfter)
 			}
 		})
+	}
+}
+
+// TestShutdownJournalsDrainBeforePublish: a queued job that Shutdown fails
+// follows the same journal-then-publish path as every other terminal
+// transition — while its failure record is still being appended, readers
+// see it queued, so a crash in between never replays a job clients were
+// told had failed.
+func TestShutdownJournalsDrainBeforePublish(t *testing.T) {
+	a, s := newAPI(t, Config{JournalDir: t.TempDir(), MaxConcurrentJobs: 1})
+	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "tbl", Points: testPoints(60, 2, 7)},
+		http.StatusCreated, nil)
+	hold := make(chan struct{}) // occupies the only worker, so the job stays queued
+	if err := s.pool.Submit(func() { <-hold }); err != nil {
+		t.Fatal(err)
+	}
+	var j Job
+	a.do("POST", "/v1/jobs", JobSpec{Dataset: "tbl", K: 2, T: 0}, http.StatusAccepted, &j)
+	bl := blockLog{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s.mu.Lock()
+	bl.Log = s.jnl
+	s.jnl = bl
+	s.mu.Unlock()
+
+	released := false
+	defer func() { // never leave the drain blocked behind a failed check
+		if !released {
+			close(bl.release)
+			close(hold)
+		}
+	}()
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(context.Background()) }()
+	select {
+	case <-bl.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the drain never journaled the queued job's failure")
+	}
+	mid, err := s.GetJob(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid.Status != StatusQueued || mid.Finished != nil {
+		t.Fatalf("during the drain's append: status %s, finished %v; want queued, unfinished", mid.Status, mid.Finished != nil)
+	}
+	close(bl.release)
+	close(hold)
+	released = true
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	end, err := s.GetJob(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end.Status != StatusFailed || end.ErrorCode != CodeShuttingDown {
+		t.Fatalf("after the drain: status %s code %s, want failed %s", end.Status, end.ErrorCode, CodeShuttingDown)
 	}
 }

@@ -187,7 +187,7 @@ func TestJobValidationHTTP(t *testing.T) {
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "nope", K: 2}, http.StatusNotFound, nil)
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 2, Objective: "mode"}, http.StatusBadRequest, nil)
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 2, Variant: "3round"}, http.StatusBadRequest, nil)
-	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 2, Engine: engine.Spec{Options: engine.Options{Algo: "warp"}}}, http.StatusBadRequest, nil)
+	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 2, Engine: engine.Spec{Algo: "warp"}}, http.StatusBadRequest, nil)
 	a.do("GET", "/v1/jobs/job-999999", nil, http.StatusNotFound, nil)
 	// Degenerate shapes fail synchronously too.
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 0}, http.StatusBadRequest, nil)
@@ -199,10 +199,11 @@ func TestHealthzAndMetricsHTTP(t *testing.T) {
 	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "m", Points: testPoints(150, 2, 3)},
 		http.StatusCreated, nil)
 	var h map[string]any
-	a.do("GET", "/healthz", nil, http.StatusOK, &h)
+	a.do("GET", "/livez", nil, http.StatusOK, &h)
 	if h["status"] != "ok" {
-		t.Fatalf("healthz: %v", h)
+		t.Fatalf("livez: %v", h)
 	}
+	a.do("GET", "/healthz", nil, http.StatusNotFound, nil)
 	var job Job
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "m", K: 2, T: 5, Seed: 1}, http.StatusAccepted, &job)
 	waitJob(t, a, job.ID)

@@ -332,27 +332,32 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	alreadyDraining := s.draining
 	s.draining = true
 	var failed []*Job
+	var terms []Job
 	if !alreadyDraining {
 		now := time.Now()
 		for _, id := range s.order {
 			j := s.jobs[id]
 			if j.Status == StatusQueued && !j.finishing {
-				j.Status = StatusFailed
-				j.Error = "serve: server shutting down before the job started"
-				j.ErrorCode = CodeShuttingDown
+				// Claim the job; readers keep seeing it queued until its
+				// failure is journaled, so the sealed log never replays a
+				// job clients were told had failed.
+				j.finishing = true
+				term := *j
+				term.Status = StatusFailed
+				term.Error = "serve: server shutting down before the job started"
+				term.ErrorCode = CodeShuttingDown
 				fin := now
-				j.Finished = &fin
-				s.counters.jobsFailed.Add(1)
+				term.Finished = &fin
 				failed = append(failed, j)
+				terms = append(terms, term)
 			}
 		}
 		s.queue = nil // their heap entries are dead; drop them wholesale
 	}
 	s.mu.Unlock()
-	// Journal the drain-failures: the sealed log must replay to the state
-	// clients observed, not resurrect jobs they were told failed.
-	for _, j := range failed {
-		s.journalFinish(j)
+	for i, j := range failed {
+		s.finish(j, terms[i])
+		s.counters.jobsFailed.Add(1)
 	}
 
 	// The queued pool tasks for the jobs failed above drain instantly
@@ -478,7 +483,6 @@ func (s *Server) CancelJob(id string) (Job, error) {
 
 // routes wires the API surface.
 func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -556,16 +560,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// handleHealthz is the legacy combined probe, kept for old scripts: alive
-// plus a ready field. New deployments probe /livez and /readyz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"ready":    s.Ready(),
-		"uptime_s": time.Since(s.start).Seconds(),
-	})
 }
 
 // handleLivez reports process liveness: it answers 200 the moment the
@@ -982,10 +976,10 @@ func (s *Server) Submit(spec JobSpec) (Job, error) {
 	s.mu.Lock()
 	err := s.enqueueLocked(job)
 	if err != nil {
-		// A Shutdown racing this submission may have failed the queued job
-		// already; keep that disposition (and its counter) instead of
+		// A Shutdown racing this submission may have claimed the queued
+		// job already; keep that disposition (and its counter) instead of
 		// double-counting it as rejected.
-		if job.Status == StatusQueued {
+		if job.Status == StatusQueued && !job.finishing {
 			job.Status = StatusFailed
 			job.Error = err.Error()
 			fin := time.Now()

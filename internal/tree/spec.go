@@ -98,7 +98,7 @@ func (s *Spec) Set(v string) error {
 	if err := out.Validate(); err != nil {
 		return err
 	}
-	*s = out
+	*s = out.canonical()
 	return nil
 }
 
@@ -130,8 +130,17 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 	if err := Spec(a).Validate(); err != nil {
 		return err
 	}
-	*s = Spec(a)
+	*s = Spec(a).canonical()
 	return nil
+}
+
+// canonical drops the branching factor of a star, which never uses it, so
+// every decoded spec equals the one its String/MarshalJSON form decodes to.
+func (s Spec) canonical() Spec {
+	if !s.Tree {
+		s.Branch = 0
+	}
+	return s
 }
 
 // groupSizes splits n leaves into ceil(n/branch) contiguous groups of at

@@ -68,10 +68,6 @@ type Config struct {
 	LocalOpts  kmedian.Options
 	Candidates CandidateSet // where 1-medians are searched
 	Sequential bool
-	// NoDistCache disables the memoized cost/distance oracles (a
-	// measurement knob; the caches never change results).
-	// LocalOpts.Reference also disables them.
-	NoDistCache bool
 	// Transport selects the wire backend: empty or transport.KindLoopback
 	// keeps sites in-process; transport.KindTCP runs the identical
 	// protocol over real localhost sockets.
@@ -152,7 +148,7 @@ func (st *uSite) start() {
 	st.started = true
 	st.col = Collapse(st.g, st.nodes, st.obj == Means, st.cfg.Candidates)
 	st.costs = st.col
-	cache := !st.opts.Reference && !st.cfg.NoDistCache
+	cache := !st.opts.Reference && !st.opts.NoCache
 	if cache {
 		st.costs = metric.CacheCosts(st.col)
 	}
@@ -165,13 +161,8 @@ func (st *uSite) start() {
 			// space; the greedy covers below prune through it.
 			st.space = metric.IndexSpace(st.space, st.opts.Index, st.opts.Pivots)
 		}
-		st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.kcOpt())
+		st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.opts.Options)
 	}
-}
-
-// kcOpt translates the site's solver options for the kcenter engines.
-func (st *uSite) kcOpt() kcenter.Opt {
-	return st.opts.Options
 }
 
 // handle implements transport.Handler for the uncertain site side.
@@ -347,7 +338,7 @@ func (st *uSite) centerPayload() comm.Payload {
 	if m > len(st.trav.Order) {
 		m = len(st.trav.Order)
 	}
-	_, counts, _ := st.trav.AssignPrefixOpt(st.space, m, nil, st.kcOpt())
+	_, counts, _ := st.trav.AssignPrefixOpt(st.space, m, nil, st.opts.Options)
 	var msg comm.CollapsedMsg
 	for c := 0; c < m; c++ {
 		j := st.trav.Order[c]
@@ -469,7 +460,7 @@ func runMedianMeans(g *Ground, nw *comm.Network, cfg Config, obj Objective) (Res
 		copt := cfg.LocalOpts
 		copt.Seed += 555557
 		var costs metric.Costs = col
-		if !copt.Reference && !cfg.NoDistCache {
+		if !copt.Reference && !copt.NoCache {
 			costs = metric.CacheCosts(col)
 		}
 		sol := kmedian.Bicriteria(costs, wts, cfg.K, float64(cfg.T), cfg.Eps, kmedian.RelaxOutliers, cfg.Engine, copt)
@@ -512,8 +503,7 @@ func runCenterPP(nw *comm.Network, cfg Config) (Result, error) {
 			col.Ell = append(col.Ell, msg.Ell...)
 			wts = append(wts, msg.W...)
 		}
-		sol := kcenter.PartialOpt(col, wts, cfg.K, float64(cfg.T),
-			kcenter.Opt{Workers: cfg.LocalOpts.Workers, Reference: cfg.LocalOpts.Reference})
+		sol := kcenter.PartialOpt(col, wts, cfg.K, float64(cfg.T), cfg.LocalOpts.Options)
 		result.Centers = clonePoints(col.Y, sol.Centers)
 		result.CoordinatorClients = col.Len()
 	})

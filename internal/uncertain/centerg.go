@@ -35,10 +35,6 @@ type CenterGConfig struct {
 	Engine        kmedian.Engine
 	LocalOpts     kmedian.Options
 	Sequential    bool
-	// NoDistCache disables the memoized rho_tau oracles (a measurement
-	// knob; the caches never change results). LocalOpts.Reference also
-	// disables them.
-	NoDistCache bool
 	// OneRound runs the Table 2 single-round variant: every site ships,
 	// for every tau in the grid, its full (2k, t, rho_6tau) preclustering
 	// (centers + outlier distributions + cost) — communication
@@ -161,7 +157,7 @@ func (st *cgSite) oracle(tauIdx int, tau6 float64) metric.Costs {
 		return c
 	}
 	var tc metric.Costs = &TruncCosts{G: st.g, Nodes: st.nodes, Fac: st.fac, Tau: tau6}
-	if !st.cfg.LocalOpts.Reference && !st.cfg.NoDistCache {
+	if !st.cfg.LocalOpts.Reference && !st.cfg.LocalOpts.NoCache {
 		tc = metric.CacheCosts(tc)
 	}
 	st.oracles[tauIdx] = tc
@@ -544,8 +540,7 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 				wts = append(wts, 1)
 			}
 		}
-		sol := kcenter.PartialOpt(cc, wts, cfg.K, float64(cfg.T),
-			kcenter.Opt{Workers: cfg.LocalOpts.Workers, Reference: cfg.LocalOpts.Reference})
+		sol := kcenter.PartialOpt(cc, wts, cfg.K, float64(cfg.T), cfg.LocalOpts.Options)
 		result.Centers = make([]metric.Point, len(sol.Centers))
 		for i, f := range sol.Centers {
 			result.Centers[i] = cc.facPts[f].Clone()
