@@ -7,9 +7,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"sync"
-	"time"
 
-	"dpc/internal/jobwire"
 	"dpc/internal/serve"
 )
 
@@ -306,16 +304,13 @@ func (b *Balanced) Do(ctx context.Context, req Request) (*Response, error) {
 	if req.Central {
 		return nil, fmt.Errorf("client: Central (the Section 3.1 solver) runs on the Local backend only")
 	}
-	spec := req.spec()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	kind, err := req.kind()
+	job, err := req.job()
 	if err != nil {
 		return nil, err
 	}
+	spec := req.spec()
 	if spec.Dataset == "" {
-		name, cleanup, err := b.registerEphemeral(ctx, req, kind)
+		name, cleanup, err := registerEphemeral(ctx, b, "balanced", req, job.Kind)
 		if err != nil {
 			return nil, err
 		}
@@ -326,28 +321,12 @@ func (b *Balanced) Do(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := done.Result
-	if res == nil {
-		return nil, fmt.Errorf("client: job %s is done but has no result", done.ID)
+	resp, err := jobResponse(done, "balanced")
+	if err != nil {
+		return nil, err
 	}
-	centers := make([]Point, len(res.Centers))
-	for i, row := range res.Centers {
-		centers[i] = Point(row)
-	}
-	return &Response{
-		Centers:       centers,
-		Cost:          res.Cost,
-		CostKind:      res.CostKind,
-		OutlierBudget: res.OutlierBudget,
-		SiteBudgets:   res.SiteBudgets,
-		Rounds:        res.Rounds,
-		UpBytes:       res.UpBytes,
-		DownBytes:     res.DownBytes,
-		Tau:           res.Tau,
-		Backend:       "balanced",
-		JobID:         done.ID,
-		Replica:       b.urls[idx],
-	}, nil
+	resp.Replica = b.urls[idx]
+	return resp, nil
 }
 
 // solve runs one spec to completion somewhere in the fleet, returning the
@@ -466,33 +445,4 @@ func retryableFailover(err error) bool {
 	// Anything else is a transport-level failure: connection refused,
 	// reset mid-poll, EOF from a killed process.
 	return true
-}
-
-// registerEphemeral uploads the request's in-memory data under a
-// throwaway name via the balanced registration path (holder fan-out plus
-// retention), so ephemeral jobs fail over like named ones.
-func (b *Balanced) registerEphemeral(ctx context.Context, req Request, kind jobwire.Kind) (string, func(), error) {
-	name := ephemeralName()
-	var err error
-	if kind == jobwire.KindPoint {
-		if len(req.Points) == 0 {
-			return "", nil, fmt.Errorf("client: balanced %s request needs Dataset or Points", req.Objective)
-		}
-		err = b.RegisterDataset(ctx, name, req.Points)
-	} else {
-		if req.Ground == nil || len(req.Nodes) == 0 {
-			return "", nil, fmt.Errorf("client: balanced %s request needs Dataset or Ground+Nodes", req.Objective)
-		}
-		err = b.RegisterUncertainDataset(ctx, name, req.Ground, req.Nodes)
-	}
-	if err != nil {
-		return "", nil, err
-	}
-	cleanup := func() {
-		//dpc:vet-ok ctxflow cleanup must delete the ephemeral dataset even after the request ctx is cancelled
-		bg, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		b.DeleteDataset(bg, name)
-	}
-	return name, cleanup, nil
 }

@@ -9,9 +9,11 @@
 //     the data lives at the sites.
 //   - Remote: a typed HTTP client for a dpc-server, with retry/backoff on
 //     503 backpressure and job polling.
+//   - Balanced: Remote over a replicated dpc-server fleet, with dataset
+//     placement, failover and resubmission of lost jobs.
 //
-// All three return the same Response (centers, cost, outlier budget,
-// measured communication), and all three honor context cancellation: a
+// All four return the same Response (centers, cost, outlier budget,
+// measured communication), and all four honor context cancellation: a
 // cancelled context aborts the solve at its next protocol round and Do
 // returns an error satisfying errors.Is(err, context.Canceled).
 //
@@ -146,9 +148,19 @@ func (r Request) spec() serve.JobSpec {
 	}
 }
 
-// kind returns the protocol family of the request's objective.
-func (r Request) kind() (jobwire.Kind, error) {
-	return serve.ObjectiveKind(r.Objective)
+// job validates the request and translates it into the protocol run every
+// backend executes (serve's mapping, so backends cannot drift apart).
+func (r Request) job() (jobwire.Job, error) {
+	spec := r.spec()
+	if err := spec.Validate(); err != nil {
+		return jobwire.Job{}, err
+	}
+	return spec.Job()
+}
+
+// data is the request's in-memory input as the protocol jobs see it.
+func (r Request) data() jobwire.Data {
+	return jobwire.Data{Pts: r.Points, G: r.Ground, Nodes: r.Nodes}
 }
 
 // Validate checks the request's enums and shape (backends also run it
@@ -191,8 +203,54 @@ type Response struct {
 	Replica string `json:"replica,omitempty"`
 }
 
+// response is the one Outcome-to-Response mapping of the backends that run
+// the coordinator in this process (Local, Cluster); the cost is job.Cost
+// against the request's in-memory data.
+func response(job jobwire.Job, d jobwire.Data, out jobwire.Outcome, backend string) *Response {
+	cost, costKind := job.Cost(d, out)
+	return &Response{
+		Centers:       out.Centers,
+		Cost:          cost,
+		CostKind:      costKind,
+		OutlierBudget: out.OutlierBudget,
+		SiteBudgets:   out.SiteBudgets,
+		Rounds:        out.Report.Rounds,
+		UpBytes:       out.Report.UpBytes,
+		DownBytes:     out.Report.DownBytes,
+		Tau:           out.Tau,
+		Backend:       backend,
+	}
+}
+
+// jobResponse is the one JobResult-to-Response mapping of the server
+// backends (Remote, Balanced).
+func jobResponse(done serve.Job, backend string) (*Response, error) {
+	res := done.Result
+	if res == nil {
+		return nil, fmt.Errorf("client: job %s is done but has no result", done.ID)
+	}
+	centers := make([]Point, len(res.Centers))
+	for i, row := range res.Centers {
+		centers[i] = Point(row)
+	}
+	return &Response{
+		Centers:       centers,
+		Cost:          res.Cost,
+		CostKind:      res.CostKind,
+		OutlierBudget: res.OutlierBudget,
+		SiteBudgets:   res.SiteBudgets,
+		Rounds:        res.Rounds,
+		UpBytes:       res.UpBytes,
+		DownBytes:     res.DownBytes,
+		Tau:           res.Tau,
+		Backend:       backend,
+		JobID:         done.ID,
+	}, nil
+}
+
 // Client executes Requests. Implementations: Local (in-process), Cluster
-// (TCP site daemons), Remote (dpc-server HTTP API).
+// (TCP site daemons), Remote (dpc-server HTTP API), Balanced (a replicated
+// dpc-server fleet).
 type Client interface {
 	// Do answers one request. Cancelling ctx aborts the solve at its next
 	// protocol round; Do then returns an error satisfying
@@ -201,46 +259,4 @@ type Client interface {
 	// Close releases backend resources (site connections, ephemeral
 	// datasets' HTTP client state). The zero-cost backends no-op.
 	Close() error
-}
-
-// evalObjective computes the true global cost of centers for any objective
-// when the caller holds the data; used by Local always and by Cluster when
-// the request carries coordinator-side data.
-func evalObjective(req Request, centers []Point, budget float64) (float64, string, error) {
-	kind, err := req.kind()
-	if err != nil {
-		return 0, "", err
-	}
-	switch kind {
-	case jobwire.KindPoint:
-		if len(req.Points) == 0 {
-			return 0, "", nil
-		}
-		spec := req.spec()
-		cfg, err := spec.CoreConfig()
-		if err != nil {
-			return 0, "", err
-		}
-		return evalPoints(req.Points, centers, budget, cfg.Objective), "global", nil
-	case jobwire.KindUncertain:
-		if req.Ground == nil || len(req.Nodes) == 0 {
-			return 0, "", nil
-		}
-		switch req.Objective {
-		case UncertainMeans:
-			return uncertain.EvalMeans(req.Ground, req.Nodes, centers, budget), "global", nil
-		case UncertainCenterPP:
-			return uncertain.EvalCenterPP(req.Ground, req.Nodes, centers, budget), "global", nil
-		default:
-			return uncertain.EvalMedian(req.Ground, req.Nodes, centers, budget), "global", nil
-		}
-	case jobwire.KindCenterG:
-		if req.Ground == nil || len(req.Nodes) == 0 {
-			return 0, "", nil
-		}
-		// serve.CenterGCostSamples keeps the Monte-Carlo sample count in
-		// lockstep with the server, so remote and local costs agree.
-		return uncertain.EvalCenterG(req.Ground, req.Nodes, centers, budget, serve.CenterGCostSamples, req.Seed), "estimate", nil
-	}
-	return 0, "", fmt.Errorf("client: unhandled objective kind")
 }

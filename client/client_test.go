@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,10 +83,11 @@ func assertSameCenters(t *testing.T, got, want []Point, label string) {
 }
 
 // TestRequestRoundTripAllBackends is the acceptance test of the unified
-// API: the same Request — one point objective, one uncertain objective —
-// returns byte-identical centers via Local (in-process), Cluster (TCP site
-// daemons) and Remote (dpc-server HTTP), and the distributed backends
-// report identical payload-byte communication.
+// API: the same Request — every one of the seven objectives — returns
+// byte-identical centers via Local (in-process), Cluster (TCP site
+// daemons), Remote (dpc-server HTTP) and Balanced (a replicated server
+// fleet), and every backend reports the same cost, cost kind, budgets,
+// round count, payload-byte communication and truncation threshold.
 func TestRequestRoundTripAllBackends(t *testing.T) {
 	const sites = 4
 	in := gen.Mixture(gen.MixtureSpec{N: 240, K: 3, OutlierFrac: 0.05, Seed: 42})
@@ -104,16 +106,24 @@ func TestRequestRoundTripAllBackends(t *testing.T) {
 		}
 	}()
 	remote, _ := newRemote(t, serve.Config{})
+	balanced, err := NewBalanced(newFleet(t, 2, serve.Config{}).urls, BalancedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer balanced.Close()
 
-	cases := []Request{
-		{Objective: Median, K: 3, T: 12, Sites: sites, Seed: 3,
-			Points: in.Pts},
-		{Objective: Center, K: 3, T: 12, Sites: sites, Seed: 3,
-			Points: in.Pts},
-		{Objective: UncertainMedian, K: 3, T: 6, Sites: sites, Seed: 3,
-			Ground: uin.Ground, Nodes: uin.Nodes},
-		{Objective: UncertainCenterG, K: 3, T: 4, Sites: sites, Seed: 3,
-			Ground: uin.Ground, Nodes: uin.Nodes},
+	var cases []Request
+	for _, obj := range []string{Median, Means, Center} {
+		cases = append(cases, Request{Objective: obj, K: 3, T: 12, Sites: sites, Seed: 3,
+			Points: in.Pts})
+	}
+	for _, obj := range []string{UncertainMedian, UncertainMeans, UncertainCenterPP, UncertainCenterG} {
+		tBudget := 6
+		if obj == UncertainCenterG {
+			tBudget = 4
+		}
+		cases = append(cases, Request{Objective: obj, K: 3, T: tBudget, Sites: sites, Seed: 3,
+			Ground: uin.Ground, Nodes: uin.Nodes})
 	}
 	ctx := context.Background()
 	for _, req := range cases {
@@ -130,29 +140,40 @@ func TestRequestRoundTripAllBackends(t *testing.T) {
 			if err != nil {
 				t.Fatalf("remote: %v", err)
 			}
+			rb, err := balanced.Do(ctx, req)
+			if err != nil {
+				t.Fatalf("balanced: %v", err)
+			}
 			if len(rl.Centers) == 0 {
 				t.Fatalf("local returned no centers")
 			}
-			assertSameCenters(t, rc.Centers, rl.Centers, "cluster vs local")
-			assertSameCenters(t, rr.Centers, rl.Centers, "remote vs local")
-			if rc.UpBytes != rl.UpBytes || rc.DownBytes != rl.DownBytes {
-				t.Fatalf("cluster bytes (%d up, %d down) differ from local (%d up, %d down)",
-					rc.UpBytes, rc.DownBytes, rl.UpBytes, rl.DownBytes)
+			// Every backend holds the data here, so every one reports the
+			// true global cost (u-centerg: the seeded estimate) —
+			// identically, with identical budgets and communication.
+			for _, b := range []*Response{rc, rr, rb} {
+				label := b.Backend + " vs local"
+				assertSameCenters(t, b.Centers, rl.Centers, label)
+				if b.Cost != rl.Cost || b.CostKind != rl.CostKind {
+					t.Fatalf("%s: cost %g (%q), want %g (%q)", label, b.Cost, b.CostKind, rl.Cost, rl.CostKind)
+				}
+				if b.OutlierBudget != rl.OutlierBudget || !reflect.DeepEqual(b.SiteBudgets, rl.SiteBudgets) {
+					t.Fatalf("%s: budgets %g %v, want %g %v", label, b.OutlierBudget, b.SiteBudgets, rl.OutlierBudget, rl.SiteBudgets)
+				}
+				if b.Rounds != rl.Rounds || b.UpBytes != rl.UpBytes || b.DownBytes != rl.DownBytes {
+					t.Fatalf("%s: %d rounds (%d up, %d down), want %d (%d up, %d down)", label,
+						b.Rounds, b.UpBytes, b.DownBytes, rl.Rounds, rl.UpBytes, rl.DownBytes)
+				}
+				if b.Tau != rl.Tau {
+					t.Fatalf("%s: tau %g, want %g", label, b.Tau, rl.Tau)
+				}
 			}
-			if rr.UpBytes != rl.UpBytes {
-				t.Fatalf("remote up bytes %d, local %d", rr.UpBytes, rl.UpBytes)
+			wantKind := "global"
+			if req.Objective == UncertainCenterG {
+				wantKind = "estimate"
 			}
-			// All backends hold the data here, so all report the true
-			// global cost — identically.
-			if rc.Cost != rl.Cost || rr.Cost != rl.Cost {
-				t.Fatalf("costs diverge: local %g, cluster %g, remote %g", rl.Cost, rc.Cost, rr.Cost)
-			}
-			if rl.OutlierBudget != rc.OutlierBudget || rl.OutlierBudget != rr.OutlierBudget {
-				t.Fatalf("outlier budgets diverge: local %g, cluster %g, remote %g",
-					rl.OutlierBudget, rc.OutlierBudget, rr.OutlierBudget)
-			}
-			if rc.Tau != rl.Tau || rr.Tau != rl.Tau {
-				t.Fatalf("taus diverge: local %g, cluster %g, remote %g", rl.Tau, rc.Tau, rr.Tau)
+			if rl.CostKind != wantKind || rl.SiteBudgets == nil || rl.Rounds != 2 {
+				t.Fatalf("local: cost kind %q, site budgets %v, %d rounds; want %q, allocated budgets, 2 rounds",
+					rl.CostKind, rl.SiteBudgets, rl.Rounds, wantKind)
 			}
 			if req.Objective == UncertainCenterG && rl.Tau == 0 {
 				t.Fatalf("u-centerg returned no truncation threshold")
@@ -421,5 +442,19 @@ func TestLocalCentral(t *testing.T) {
 	}
 	if len(res.Centers) != 3 || res.CostKind != "global" {
 		t.Fatalf("central response: %d centers, kind %q", len(res.Centers), res.CostKind)
+	}
+}
+
+// TestLocalCentralRangeCheck: the centralized path applies the same t < n
+// check as the distributed one instead of answering t >= n with zero
+// centers.
+func TestLocalCentralRangeCheck(t *testing.T) {
+	pts := gen.Mixture(gen.MixtureSpec{N: 10, K: 2, Seed: 1}).Pts
+	for _, central := range []bool{false, true} {
+		req := Request{Objective: Median, K: 2, T: 10, Central: central, Points: pts}
+		res, err := NewLocal().Do(context.Background(), req)
+		if err == nil || !strings.Contains(err.Error(), "t = 10 out of range [0, 10)") {
+			t.Fatalf("central=%v: response %+v, error %v; want the t range error", central, res, err)
+		}
 	}
 }

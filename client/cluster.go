@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"sync"
 
-	"dpc/internal/core"
 	"dpc/internal/jobwire"
 	"dpc/internal/transport"
 	"dpc/internal/tree"
-	"dpc/internal/uncertain"
 )
 
 // Cluster answers requests by driving persistent dpc-site daemons over
@@ -150,13 +148,12 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 	if req.Central {
 		return nil, fmt.Errorf("client: Central (the Section 3.1 solver) runs on the Local backend only")
 	}
-	spec := req.spec()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	kind, err := req.kind()
+	job, err := req.job()
 	if err != nil {
 		return nil, err
+	}
+	if job.Kind != jobwire.KindPoint && req.Ground == nil {
+		return nil, fmt.Errorf("client: cluster %s request needs Ground (the shared ground metric)", req.Objective)
 	}
 
 	c.mu.Lock()
@@ -169,90 +166,17 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 			return nil, fmt.Errorf("client: cluster reconnect: %w", err)
 		}
 	}
-
-	var resp *Response
-	switch kind {
-	case jobwire.KindPoint:
-		cfg, err := spec.CoreConfig()
-		if err != nil {
-			return nil, err
-		}
-		if err := c.startJob(jobwire.Job{Kind: jobwire.KindPoint, Core: cfg}); err != nil {
-			return nil, err
-		}
-		res, err := core.RunOverCtx(ctx, c.coord, cfg)
-		if err != nil {
-			return nil, c.fail(ctx, err)
-		}
-		resp = &Response{
-			Centers:       res.Centers,
-			Cost:          res.CoordinatorCost,
-			CostKind:      "coordinator",
-			OutlierBudget: res.OutlierBudget,
-			SiteBudgets:   res.SiteBudgets,
-			Rounds:        res.Report.Rounds,
-			UpBytes:       res.Report.UpBytes,
-			DownBytes:     res.Report.DownBytes,
-		}
-	case jobwire.KindUncertain:
-		if req.Ground == nil {
-			return nil, fmt.Errorf("client: cluster %s request needs Ground (the shared ground metric)", req.Objective)
-		}
-		cfg, obj, err := spec.UncertainConfig()
-		if err != nil {
-			return nil, err
-		}
-		if err := c.startJob(jobwire.Job{Kind: jobwire.KindUncertain, Obj: obj, Unc: cfg}); err != nil {
-			return nil, err
-		}
-		res, err := uncertain.RunOverCtx(ctx, req.Ground, c.coord, cfg, obj)
-		if err != nil {
-			return nil, c.fail(ctx, err)
-		}
-		resp = &Response{
-			Centers:       res.Centers,
-			OutlierBudget: res.OutlierBudget,
-			SiteBudgets:   res.SiteBudgets,
-			Rounds:        res.Report.Rounds,
-			UpBytes:       res.Report.UpBytes,
-			DownBytes:     res.Report.DownBytes,
-		}
-	case jobwire.KindCenterG:
-		if req.Ground == nil {
-			return nil, fmt.Errorf("client: cluster %s request needs Ground (the shared ground metric)", req.Objective)
-		}
-		cfg, err := spec.CenterGConfig()
-		if err != nil {
-			return nil, err
-		}
-		if err := c.startJob(jobwire.Job{Kind: jobwire.KindCenterG, CenterG: cfg}); err != nil {
-			return nil, err
-		}
-		res, err := uncertain.RunCenterGOverCtx(ctx, req.Ground, c.coord, cfg)
-		if err != nil {
-			return nil, c.fail(ctx, err)
-		}
-		resp = &Response{
-			Centers:       res.Centers,
-			OutlierBudget: res.OutlierBudget,
-			SiteBudgets:   res.SiteBudgets,
-			Rounds:        res.Report.Rounds,
-			UpBytes:       res.Report.UpBytes,
-			DownBytes:     res.Report.DownBytes,
-			Tau:           res.Tau,
-		}
-	default:
-		return nil, fmt.Errorf("client: unhandled objective kind %v", kind)
+	if err := c.startJob(job); err != nil {
+		return nil, err
 	}
-
-	// When the request carries coordinator-side data, report the true
-	// global cost (byte-identical to what Local computes); otherwise the
-	// coordinator cost (point) or no cost (uncertain) stands.
-	if cost, costKind, err := evalObjective(req, resp.Centers, resp.OutlierBudget); err == nil && costKind != "" {
-		resp.Cost, resp.CostKind = cost, costKind
+	out, err := job.Coordinate(ctx, req.Ground, c.coord)
+	if err != nil {
+		return nil, c.fail(ctx, err)
 	}
-	resp.Backend = "cluster"
-	return resp, nil
+	// When the request carries coordinator-side data, Cost reports the
+	// true global cost (byte-identical to what Local computes); otherwise
+	// the coordinator cost (point) or no cost (uncertain) stands.
+	return response(job, req.data(), out, "cluster"), nil
 }
 
 // startJob ships the job frame that re-arms every site for this request.

@@ -6,12 +6,10 @@ import (
 
 	"dpc/internal/central"
 	"dpc/internal/core"
-	"dpc/internal/dataio"
 	"dpc/internal/jobwire"
 	"dpc/internal/kmedian"
-	"dpc/internal/metric"
+	"dpc/internal/serve"
 	"dpc/internal/transport"
-	"dpc/internal/uncertain"
 )
 
 // Local answers requests in-process: the request's Points (or
@@ -31,11 +29,7 @@ func (l *Local) Close() error { return nil }
 
 // Do implements Client.
 func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
-	spec := req.spec()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	kind, err := req.kind()
+	job, err := req.job()
 	if err != nil {
 		return nil, err
 	}
@@ -43,109 +37,57 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	sites := req.Sites
-	if sites <= 0 {
-		sites = 8
+	if req.Central && job.Kind != jobwire.KindPoint {
+		return nil, fmt.Errorf("client: the centralized solver handles point median/means only")
 	}
-
-	if kind != jobwire.KindPoint {
-		if req.Central {
-			return nil, fmt.Errorf("client: the centralized solver handles point median/means only")
+	d := req.data()
+	n := job.Inputs(d)
+	if n == 0 {
+		if job.Kind == jobwire.KindPoint {
+			return nil, fmt.Errorf("client: local %s request needs Points", req.Objective)
 		}
-		if req.Ground == nil || len(req.Nodes) == 0 {
-			return nil, fmt.Errorf("client: local %s request needs Ground and Nodes", req.Objective)
-		}
-		if req.T >= len(req.Nodes) {
-			return nil, fmt.Errorf("client: t = %d out of range [0, %d)", req.T, len(req.Nodes))
-		}
-		shards := dataio.SplitNodesRoundRobin(req.Nodes, sites)
-		if kind == jobwire.KindCenterG {
-			cfg, err := spec.CenterGConfig()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Transport = tkind
-			res, err := uncertain.RunCenterGCtx(ctx, req.Ground, shards, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return l.finish(req, res.Centers, res.OutlierBudget, res.SiteBudgets, res.Report, res.Tau)
-		}
-		cfg, obj, err := spec.UncertainConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Transport = tkind
-		res, err := uncertain.RunCtx(ctx, req.Ground, shards, cfg, obj)
-		if err != nil {
-			return nil, err
-		}
-		return l.finish(req, res.Centers, res.OutlierBudget, res.SiteBudgets, res.Report, 0)
+		return nil, fmt.Errorf("client: local %s request needs Ground and Nodes", req.Objective)
 	}
-
-	if len(req.Points) == 0 {
-		return nil, fmt.Errorf("client: local %s request needs Points", req.Objective)
-	}
-	cfg, err := spec.CoreConfig()
-	if err != nil {
-		return nil, err
+	// One range check for both solvers: a budget covering every input
+	// would "succeed" with zero centers.
+	if req.T >= n {
+		return nil, fmt.Errorf("client: t = %d out of range [0, %d)", req.T, n)
 	}
 	if req.Central {
-		if cfg.Objective == core.Center {
-			return nil, fmt.Errorf("client: the centralized solver handles median/means only")
-		}
-		// The centralized solver is one indivisible solve; honor the
-		// context at its boundary (a cancelled request never starts it).
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sol := central.PartialMedian(req.Points, central.Config{
-			K: req.K, T: req.T, Levels: req.Levels, Eps: req.Eps,
-			Objective: cfg.Objective, Engine: cfg.Engine,
-			Opts: kmedian.Options{Seed: req.Seed, Options: spec.EngineOptions()},
-		})
-		return &Response{
-			Centers:       sol.Centers,
-			Cost:          sol.Cost,
-			CostKind:      "global",
-			OutlierBudget: sol.OutlierBudget,
-			Backend:       "local",
-		}, nil
+		return centralized(ctx, req, job.Core)
 	}
-	if req.T >= len(req.Points) {
-		return nil, fmt.Errorf("client: t = %d out of range [0, %d)", req.T, len(req.Points))
+	sites := req.Sites
+	if sites <= 0 {
+		sites = serve.DefaultJobSites
 	}
-	cfg.Transport = tkind
-	shards := dataio.SplitRoundRobin(req.Points, sites)
-	res, err := core.RunCtx(ctx, shards, cfg)
+	out, err := job.Run(ctx, d, sites, tkind)
 	if err != nil {
 		return nil, err
 	}
-	return l.finish(req, res.Centers, res.OutlierBudget, res.SiteBudgets, res.Report, 0)
+	return response(job, d, out, "local"), nil
 }
 
-// finish assembles the unified response, evaluating the true global cost
-// against the request's in-memory data.
-func (l *Local) finish(req Request, centers []metric.Point, budget float64, siteBudgets []int, rep Report, tau float64) (*Response, error) {
-	cost, costKind, err := evalObjective(req, centers, budget)
-	if err != nil {
+// centralized answers a point median/means request with the Section 3.1
+// centralized solver.
+func centralized(ctx context.Context, req Request, cfg core.Config) (*Response, error) {
+	if cfg.Objective == core.Center {
+		return nil, fmt.Errorf("client: the centralized solver handles median/means only")
+	}
+	// The centralized solver is one indivisible solve; honor the context
+	// at its boundary (a cancelled request never starts it).
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sol := central.PartialMedian(req.Points, central.Config{
+		K: req.K, T: req.T, Levels: req.Levels, Eps: req.Eps,
+		Objective: cfg.Objective, Engine: cfg.Engine,
+		Opts: kmedian.Options{Seed: req.Seed, Options: cfg.Options},
+	})
 	return &Response{
-		Centers:       centers,
-		Cost:          cost,
-		CostKind:      costKind,
-		OutlierBudget: budget,
-		SiteBudgets:   siteBudgets,
-		Rounds:        rep.Rounds,
-		UpBytes:       rep.UpBytes,
-		DownBytes:     rep.DownBytes,
-		Tau:           tau,
+		Centers:       sol.Centers,
+		Cost:          sol.Cost,
+		CostKind:      "global",
+		OutlierBudget: sol.OutlierBudget,
 		Backend:       "local",
 	}, nil
-}
-
-// evalPoints is core.Evaluate under the client package's vocabulary.
-func evalPoints(pts, centers []Point, budget float64, obj core.Objective) float64 {
-	return core.Evaluate(pts, centers, budget, obj)
 }

@@ -307,68 +307,53 @@ func (r *Remote) Do(ctx context.Context, req Request) (*Response, error) {
 	if req.Central {
 		return nil, fmt.Errorf("client: Central (the Section 3.1 solver) runs on the Local backend only")
 	}
-	spec := req.spec()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	kind, err := req.kind()
+	job, err := req.job()
 	if err != nil {
 		return nil, err
 	}
+	spec := req.spec()
 	if spec.Dataset == "" {
-		name, cleanup, err := r.registerEphemeral(ctx, req, kind)
+		name, cleanup, err := registerEphemeral(ctx, r, "remote", req, job.Kind)
 		if err != nil {
 			return nil, err
 		}
 		defer cleanup()
 		spec.Dataset = name
 	}
-	job, err := r.Submit(ctx, spec)
+	queued, err := r.Submit(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	done, err := r.Wait(ctx, job.ID)
+	done, err := r.Wait(ctx, queued.ID)
 	if err != nil {
 		return nil, err
 	}
-	res := done.Result
-	if res == nil {
-		return nil, fmt.Errorf("client: job %s is done but has no result", job.ID)
-	}
-	centers := make([]Point, len(res.Centers))
-	for i, row := range res.Centers {
-		centers[i] = Point(row)
-	}
-	return &Response{
-		Centers:       centers,
-		Cost:          res.Cost,
-		CostKind:      res.CostKind,
-		OutlierBudget: res.OutlierBudget,
-		SiteBudgets:   res.SiteBudgets,
-		Rounds:        res.Rounds,
-		UpBytes:       res.UpBytes,
-		DownBytes:     res.DownBytes,
-		Tau:           res.Tau,
-		Backend:       "remote",
-		JobID:         done.ID,
-	}, nil
+	return jobResponse(done, "remote")
 }
 
-// registerEphemeral uploads the request's in-memory data as a
+// datasetHost is the registration surface Remote and Balanced share.
+type datasetHost interface {
+	RegisterDataset(ctx context.Context, name string, pts []Point) error
+	RegisterUncertainDataset(ctx context.Context, name string, g *Ground, nodes []Node) error
+	DeleteDataset(ctx context.Context, name string) error
+}
+
+// registerEphemeral uploads the request's in-memory data to h as a
 // throwaway-named dataset; the returned cleanup deletes it best-effort.
-func (r *Remote) registerEphemeral(ctx context.Context, req Request, kind jobwire.Kind) (string, func(), error) {
+// backend names the caller in errors.
+func registerEphemeral(ctx context.Context, h datasetHost, backend string, req Request, kind jobwire.Kind) (string, func(), error) {
 	name := ephemeralName()
 	var err error
 	if kind == jobwire.KindPoint {
 		if len(req.Points) == 0 {
-			return "", nil, fmt.Errorf("client: remote %s request needs Dataset or Points", req.Objective)
+			return "", nil, fmt.Errorf("client: %s %s request needs Dataset or Points", backend, req.Objective)
 		}
-		err = r.RegisterDataset(ctx, name, req.Points)
+		err = h.RegisterDataset(ctx, name, req.Points)
 	} else {
 		if req.Ground == nil || len(req.Nodes) == 0 {
-			return "", nil, fmt.Errorf("client: remote %s request needs Dataset or Ground+Nodes", req.Objective)
+			return "", nil, fmt.Errorf("client: %s %s request needs Dataset or Ground+Nodes", backend, req.Objective)
 		}
-		err = r.RegisterUncertainDataset(ctx, name, req.Ground, req.Nodes)
+		err = h.RegisterUncertainDataset(ctx, name, req.Ground, req.Nodes)
 	}
 	if err != nil {
 		return "", nil, err
@@ -377,7 +362,7 @@ func (r *Remote) registerEphemeral(ctx context.Context, req Request, kind jobwir
 		//dpc:vet-ok ctxflow cleanup must delete the ephemeral dataset even after the request ctx is cancelled
 		bg, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		r.DeleteDataset(bg, name)
+		h.DeleteDataset(bg, name)
 	}
 	return name, cleanup, nil
 }

@@ -21,6 +21,11 @@ type SiteData struct {
 	Nodes  []Node
 }
 
+// jobwire is d in the site-side job runner's terms.
+func (d SiteData) jobwire() jobwire.SiteData {
+	return jobwire.SiteData{Site: d.Site, Data: jobwire.Data{Pts: d.Points, G: d.Ground, Nodes: d.Nodes}}
+}
+
 // ServeSite is dpc-site -persist as a library call: it dials a cluster
 // coordinator (a ClusterListener, or dpc-server -sites-listen) at addr,
 // retrying until timeout (0 = one attempt), and serves jobs from d —
@@ -33,9 +38,7 @@ func ServeSite(addr string, d SiteData, timeout time.Duration) error {
 		return err
 	}
 	defer sc.Close()
-	return jobwire.ServeJobs(sc, jobwire.SiteData{
-		Site: d.Site, Pts: d.Points, G: d.Ground, Nodes: d.Nodes,
-	}, nil)
+	return jobwire.ServeJobs(sc, d.jobwire(), nil)
 }
 
 // ServeSiteLoop is ServeSite with dpc-site -persist's redial behavior: a
@@ -50,9 +53,7 @@ func ServeSiteLoop(addr string, d SiteData, timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		err = jobwire.ServeJobs(sc, jobwire.SiteData{
-			Site: d.Site, Pts: d.Points, G: d.Ground, Nodes: d.Nodes,
-		}, nil)
+		err = jobwire.ServeJobs(sc, d.jobwire(), nil)
 		sc.Close()
 		if err == nil {
 			return nil

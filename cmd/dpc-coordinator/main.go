@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +33,7 @@ import (
 
 	"dpc/internal/core"
 	"dpc/internal/dataio"
-	"dpc/internal/kmedian"
+	"dpc/internal/serve"
 	"dpc/internal/transport"
 	"dpc/internal/tree"
 )
@@ -55,18 +56,14 @@ func main() {
 	flag.Var(&topo, "topology", "coordinator fan-in: star | tree | tree,branch=N (tree accepts dpc-site -aggregate daemons)")
 	flag.Parse()
 
-	obj, err := parseObjective(*objective)
+	// The job API's translation, so the handshake config is the one every
+	// other surface builds from the same parameters.
+	cfg, err := serve.JobSpec{
+		K: *k, T: *t, Objective: *objective, Variant: *variant, Eps: *eps,
+		Seed: *seed, LloydPolish: *polish,
+	}.CoreConfig()
 	if err != nil {
 		fatal(err)
-	}
-	vr, err := parseVariant(*variant)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := core.Config{
-		K: *k, T: *t, Objective: obj, Variant: vr, Eps: *eps,
-		LloydPolish: *polish,
-		LocalOpts:   kmedian.Options{Seed: *seed},
 	}
 
 	// Under a tree topology the dialers are the top aggregator tier, not
@@ -103,9 +100,9 @@ func main() {
 		tr = root
 	}
 	defer tr.Close()
-	fmt.Fprintf(os.Stderr, "dpc-coordinator: all %d %s connected, running %s/%s\n", direct, what, obj, vr)
+	fmt.Fprintf(os.Stderr, "dpc-coordinator: all %d %s connected, running %s/%s\n", direct, what, cfg.Objective, cfg.Variant)
 
-	res, err := core.RunOver(tr, cfg)
+	res, err := core.RunOverCtx(context.Background(), tr, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,30 +133,6 @@ func main() {
 			}
 		}
 	}
-}
-
-func parseObjective(s string) (core.Objective, error) {
-	switch s {
-	case "median":
-		return core.Median, nil
-	case "means":
-		return core.Means, nil
-	case "center":
-		return core.Center, nil
-	}
-	return 0, fmt.Errorf("unknown objective %q", s)
-}
-
-func parseVariant(s string) (core.Variant, error) {
-	switch s {
-	case "2round":
-		return core.TwoRound, nil
-	case "1round":
-		return core.OneRound, nil
-	case "noship":
-		return core.TwoRoundNoOutliers, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q", s)
 }
 
 type nopWriteCloser struct{ io.Writer }

@@ -214,25 +214,12 @@ func servePersistent(sc *transport.Site, data jobwire.SiteData, verbose bool) er
 	if verbose {
 		wrap = func(job int, blob []byte, h transport.Handler) transport.Handler {
 			if j, err := jobwire.Decode(blob); err == nil {
-				fmt.Fprintf(os.Stderr, "dpc-site %d: job %d: %s\n", data.Site, job, describeJob(j))
+				fmt.Fprintf(os.Stderr, "dpc-site %d: job %d: %s\n", data.Site, job, j)
 			}
 			return logRounds(data.Site, h)
 		}
 	}
 	return jobwire.ServeJobs(sc, data, wrap)
-}
-
-// describeJob renders a one-line job summary for -v logging.
-func describeJob(j jobwire.Job) string {
-	switch j.Kind {
-	case jobwire.KindPoint:
-		return fmt.Sprintf("%s/%s (k=%d, t=%d)", j.Core.Objective, j.Core.Variant, j.Core.K, j.Core.T)
-	case jobwire.KindUncertain:
-		return fmt.Sprintf("%v (k=%d, t=%d)", j.Obj, j.Unc.K, j.Unc.T)
-	case jobwire.KindCenterG:
-		return fmt.Sprintf("u-centerg (k=%d, t=%d)", j.CenterG.K, j.CenterG.T)
-	}
-	return j.Kind.String()
 }
 
 // logRounds wraps a handler with per-round byte logging.

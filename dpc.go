@@ -18,13 +18,14 @@
 //	remote, _ := dpc.NewRemoteClient(url, dpc.RemoteOptions{}).Do(ctx, req) // dpc-server
 //	cluster, _ := clu.Do(ctx, req)                           // live dpc-site daemons
 //
-// All three backends return the same Response (centers, cost, outlier
-// budget, measured communication) and — same seed, same shard count —
-// byte-identical centers. Every Do takes a context.Context: cancelling it
-// aborts the solve at its next protocol round, on every backend, with
+// All four backends (Local, Remote, Cluster and the replicated Balanced)
+// return the same Response (centers, cost, outlier budget, measured
+// communication) and — same seed, same shard count — byte-identical
+// centers. Every Do takes a context.Context: cancelling it aborts the
+// solve at its next protocol round, on every backend, with
 // errors.Is(err, context.Canceled). See the dpc/client package for the
 // backend constructors' details; examples/client runs one request against
-// all three.
+// Local, Remote and Cluster.
 //
 // The paper's model underneath is exact: every message is serialized,
 // byte-counted and decoded on the other side; Response carries the

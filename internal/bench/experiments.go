@@ -52,12 +52,7 @@ func (o Options) cgCfg(cfg uncertain.CenterGConfig) uncertain.CenterGConfig {
 // full data with the unicriterion budget t (the Copt(A,k,t) stand-in of
 // Lemma 3.5).
 func centralMedianCost(in gen.Instance, k, t int, squared bool, seed int64, o Options) float64 {
-	var sp metric.Space = in.Points()
-	if !o.Reference && !o.NoCache {
-		sp = metric.CacheSpace(sp)
-	}
-	sp = metric.IndexSpace(sp, o.Index && !o.Reference, o.Pivots)
-	costs := metric.Costs(metric.SelfCosts{S: sp})
+	costs := metric.Costs(metric.SelfCosts{S: metric.EngineSpace(in.Points(), o.Options)})
 	if squared {
 		costs = metric.Squared{C: costs}
 	}

@@ -233,12 +233,7 @@ func directSolve(pts []metric.Point, k, q int, cfg Config) precluster {
 // memoization cap the index prunes recomputed distances, which is exactly
 // where it pays most.
 func weightedCosts(pts []metric.Point, obj core.Objective, opts kmedian.Options) metric.Costs {
-	var sp metric.Space = metric.NewPoints(pts)
-	if !opts.Reference && !opts.NoCache {
-		sp = metric.CacheSpace(sp)
-	}
-	sp = metric.IndexSpace(sp, opts.Index && !opts.Reference, opts.Pivots)
-	c := metric.Costs(metric.SelfCosts{S: sp})
+	c := metric.Costs(metric.SelfCosts{S: metric.EngineSpace(metric.NewPoints(pts), opts.Options)})
 	if obj == core.Means {
 		return metric.Squared{C: c}
 	}

@@ -62,12 +62,6 @@ type Network struct {
 	coord    time.Duration
 }
 
-// NewOver wraps a connected transport in an accounting layer with no
-// cancellation (context.Background()).
-func NewOver(tr transport.Transport) *Network {
-	return NewOverCtx(context.Background(), tr)
-}
-
 // NewOverCtx wraps a connected transport in an accounting layer whose
 // rounds abort with ctx.Err() as soon as ctx is cancelled or its deadline
 // passes — the hook that makes every protocol driver in the repository

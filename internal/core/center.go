@@ -33,15 +33,9 @@ type centerSite struct {
 // scans. o, when non-nil, is an externally owned (job-server shared)
 // oracle over pts and replaces the private stack.
 func newCenterSite(cfg Config, site int, pts []metric.Point, o metric.Oracle) *centerSite {
-	var space metric.Space
-	if o != nil {
-		space = o
-	} else {
-		space = metric.NewPoints(pts)
-		if !cfg.NoCache {
-			space = metric.CacheSpace(space)
-		}
-		space = metric.IndexSpace(space, cfg.Index, cfg.Pivots)
+	var space metric.Space = o
+	if o == nil {
+		space = metric.EngineSpace(metric.NewPoints(pts), cfg.Options)
 	}
 	return &centerSite{cfg: cfg, site: site, pts: pts, space: space}
 }

@@ -138,7 +138,7 @@ type Config struct {
 	// transport.KindLoopback keeps sites in-process (the exact simulated
 	// star network); transport.KindTCP drives the identical protocol over
 	// real localhost sockets, one in-process site server per site. For
-	// sites in genuinely separate processes, see RunOver, NewSiteHandler
+	// sites in genuinely separate processes, see RunOverCtx, NewSiteHandler
 	// and the dpc-coordinator / dpc-site commands.
 	Transport transport.Kind
 	// Topology selects the coordinator fan-in for Run: the zero value is
@@ -271,17 +271,12 @@ func RunCtx(ctx context.Context, sites [][]metric.Point, cfg Config) (Result, er
 	return RunOverCtx(ctx, tr, cfg)
 }
 
-// RunOver executes the coordinator side of the protocol over an
+// RunOverCtx executes the coordinator side of the protocol over an
 // already-connected transport; every site must be served elsewhere with a
 // handler built by NewSiteHandler from the identical Config (the
 // dpc-coordinator daemon ships the config in the transport handshake to
 // guarantee this). The transport is left open; the caller closes it.
-func RunOver(tr transport.Transport, cfg Config) (Result, error) {
-	return RunOverCtx(context.Background(), tr, cfg)
-}
-
-// RunOverCtx is RunOver under a context: cancellation aborts the round
-// loop promptly with ctx.Err().
+// Cancelling ctx aborts the round loop promptly with ctx.Err().
 func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	// The coordinator-side solve is preemptible too; remote site handlers
@@ -341,18 +336,11 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 	return newMedianSite(cfg, site, pts, o).handle, nil
 }
 
-// costsOver wraps points in the objective's cost oracle per the engine
-// knobs: pairwise distances are memoized (exactly — cached and uncached
-// runs are bit-identical) unless eng.NoCache is set or the instance is too
-// large for the cache to pay for itself, and a pivot index is layered on
-// top when eng.Index asks for one (pruning only; values unchanged).
+// costsOver wraps points in the objective's cost oracle over the engine's
+// distance-oracle stack (metric.EngineSpace: memoized unless eng.NoCache,
+// pivot-indexed when eng.Index asks; values unchanged either way).
 func costsOver(pts []metric.Point, obj Objective, eng engine.Options) metric.Costs {
-	var sp metric.Space = metric.NewPoints(pts)
-	if !eng.NoCache {
-		sp = metric.CacheSpace(sp)
-	}
-	sp = metric.IndexSpace(sp, eng.Index, eng.Pivots)
-	return costsShared(sp, obj)
+	return costsShared(metric.EngineSpace(metric.NewPoints(pts), eng), obj)
 }
 
 // costsShared layers the objective's cost view over an externally owned

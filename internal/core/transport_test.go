@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -131,7 +132,7 @@ func TestRunOverSeparateHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunOver(tr, cfg)
+	got, err := RunOverCtx(context.Background(), tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,17 +78,6 @@ func CacheSpace(s Space) Space {
 	return NewDistCache(s)
 }
 
-// CachedSelfCosts is the one place the engine's self-cost caching policy
-// lives: it returns p as a Costs oracle, memoized behind a DistCache when
-// enable is true and the instance is within MaxCachePoints. Callers wrap
-// Squared on top for squared objectives.
-func CachedSelfCosts(p *Points, enable bool) Costs {
-	if !enable || p.N() > MaxCachePoints {
-		return p
-	}
-	return NewDistCache(p)
-}
-
 // cell returns the packed index of pair (i, j), i < j.
 func (dc *DistCache) cell(i, j int) int {
 	// Rows before i hold sum_{r<i} (n-1-r) = i*(2n-i-1)/2 cells.

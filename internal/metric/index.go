@@ -3,6 +3,8 @@ package metric
 import (
 	"math"
 	"sync/atomic"
+
+	"dpc/internal/engine"
 )
 
 // Oracle is the solver-facing view of a metric space: exact distances plus a
@@ -541,6 +543,20 @@ func IndexSpace(s Space, enable bool, pivots int) Space {
 		return s
 	}
 	return NewIndex(s, IndexOptions{Pivots: pivots})
+}
+
+// EngineSpace is the one rule for a solver's private distance-oracle
+// stack under the engine knobs o (normalized first, so Reference means raw
+// and unindexed): s is memoized behind a DistCache unless o.NoCache (or it
+// exceeds MaxCachePoints), then wrapped in a pivot index when o.Index asks
+// for one (IndexSpace's gate applies). Every layer is exact, so results
+// never depend on o.
+func EngineSpace(s Space, o engine.Options) Space {
+	o = o.Normalize()
+	if !o.NoCache {
+		s = CacheSpace(s)
+	}
+	return IndexSpace(s, o.Index, o.Pivots)
 }
 
 // PruneCost on SelfCosts delegates to the wrapped space's pruner, if any.

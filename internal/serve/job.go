@@ -299,22 +299,30 @@ func (s JobSpec) CenterGConfig() (uncertain.CenterGConfig, error) {
 	}, nil
 }
 
+// Job translates the spec into the protocol run it asks for — the one
+// objective-to-protocol mapping every backend (the server's runners, the
+// client package's Local and Cluster) executes.
+func (s JobSpec) Job() (jobwire.Job, error) {
+	kind, err := ObjectiveKind(s.Objective)
+	if err != nil {
+		return jobwire.Job{}, err
+	}
+	j := jobwire.Job{Kind: kind}
+	switch kind {
+	case jobwire.KindPoint:
+		j.Core, err = s.CoreConfig()
+	case jobwire.KindUncertain:
+		j.Unc, j.Obj, err = s.UncertainConfig()
+	case jobwire.KindCenterG:
+		j.CenterG, err = s.CenterGConfig()
+	}
+	return j, err
+}
+
 // Validate checks the spec's enums and shape without touching a registry —
 // the synchronous half of Submit, shared with the client package.
 func (s JobSpec) Validate() error {
-	kind, err := ObjectiveKind(s.Objective)
-	if err != nil {
-		return err
-	}
-	switch kind {
-	case jobwire.KindPoint:
-		_, err = s.CoreConfig()
-	case jobwire.KindUncertain:
-		_, _, err = s.UncertainConfig()
-	case jobwire.KindCenterG:
-		_, err = s.CenterGConfig()
-	}
-	if err != nil {
+	if _, err := s.Job(); err != nil {
 		return err
 	}
 	if s.K <= 0 {
@@ -356,11 +364,11 @@ func (r *Registry) run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, err := ObjectiveKind(spec.Objective)
+	job, err := spec.Job()
 	if err != nil {
 		return nil, err
 	}
-	if (kind != jobwire.KindPoint) != (d.kind == KindUncertain) {
+	if (job.Kind != jobwire.KindPoint) != (d.kind == KindUncertain) {
 		return nil, fmt.Errorf("serve: objective %q does not apply to %s dataset %q",
 			spec.Objective, d.kind, d.name)
 	}
@@ -368,13 +376,13 @@ func (r *Registry) run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	var res *JobResult
 	switch d.kind {
 	case KindTable:
-		res, err = r.runTable(ctx, d, spec)
+		res, err = r.runTable(ctx, d, spec, job)
 	case KindStream:
 		res, err = r.runStream(ctx, d, spec)
 	case KindRemote:
-		res, err = r.runRemote(ctx, d, spec)
+		res, err = r.runRemote(ctx, d, job)
 	case KindUncertain:
-		res, err = r.runUncertain(ctx, d, spec)
+		res, err = r.runUncertain(ctx, d, spec, job)
 	default:
 		err = fmt.Errorf("serve: dataset %q has unknown kind %q", d.name, d.kind)
 	}
@@ -420,15 +428,11 @@ func (r *Registry) shardCaches(d *Dataset, version int, shards [][]metric.Point)
 // runTable executes the full distributed protocol over in-process loopback
 // shards — the same SplitRoundRobin sharding and core configuration as
 // dpc-cluster, plus shared shard caches drawn from the pool.
-func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec) (*JobResult, error) {
-	cfg, err := spec.CoreConfig()
-	if err != nil {
-		return nil, err
-	}
+func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec, job jobwire.Job) (*JobResult, error) {
 	// The loopback site handlers below solve outside RunOverCtx's reach;
 	// hand them the job context directly so CancelJob and Shutdown preempt
 	// their solver inner loops, not just the round boundaries.
-	cfg.LocalOpts.Ctx = ctx
+	job.Core.LocalOpts.Ctx = ctx
 	view, version := d.snapshotTable()
 	// The same range check core.Run applies: a budget covering the whole
 	// dataset would "succeed" with zero centers.
@@ -445,13 +449,13 @@ func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec) (*Job
 	// failed gets full scans even when the job asks for the index (the
 	// per-shard self-check would catch it too — this avoids paying the
 	// build just to have it degrade).
-	if cfg.Index && !d.MetricReport().TriangleOK {
-		cfg.Options.Index = false
+	if job.Core.Index && !d.MetricReport().TriangleOK {
+		job.Core.Index = false
 	}
-	oracles := r.shardOracles(d, version, shards, cfg.Options)
+	oracles := r.shardOracles(d, version, shards, job.Core.Options)
 	handlers := make([]transport.Handler, len(shards))
 	for i := range shards {
-		h, err := core.NewSiteHandlerOracle(cfg, i, shards[i], oracles[i])
+		h, err := job.Handler(jobwire.SiteData{Site: i, Data: jobwire.Data{Pts: shards[i]}}, oracles[i])
 		if err != nil {
 			return nil, err
 		}
@@ -462,22 +466,11 @@ func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec) (*Job
 		return nil, err
 	}
 	defer tr.Close()
-	res, err := core.RunOverCtx(ctx, tr, cfg)
+	out, err := job.Coordinate(ctx, nil, tr)
 	if err != nil {
 		return nil, err
 	}
-	obj, _ := parseObjective(spec.Objective)
-	return &JobResult{
-		Centers:       pointsToRows(res.Centers),
-		OutlierBudget: res.OutlierBudget,
-		Cost:          core.Evaluate(pts, res.Centers, res.OutlierBudget, obj),
-		CostKind:      "global",
-		Rounds:        res.Report.Rounds,
-		UpBytes:       res.Report.UpBytes,
-		DownBytes:     res.Report.DownBytes,
-		SiteBudgets:   res.SiteBudgets,
-		Transport:     string(transport.KindLoopback),
-	}, nil
+	return jobResult(job, jobwire.Data{Pts: pts}, out, transport.KindLoopback), nil
 }
 
 // runStream answers a (k, t) query on the dataset's sketch summary. The
@@ -523,12 +516,8 @@ func (r *Registry) runStream(ctx context.Context, d *Dataset, spec JobSpec) (*Jo
 // the standard coordinator drive runs over the live sockets. Jobs against
 // one remote dataset serialize (the transport round contract); jobs against
 // different datasets still run concurrently.
-func (r *Registry) runRemote(ctx context.Context, d *Dataset, spec JobSpec) (*JobResult, error) {
-	cfg, err := spec.CoreConfig()
-	if err != nil {
-		return nil, err
-	}
-	blob, err := jobwire.Encode(jobwire.Job{Kind: jobwire.KindPoint, Core: cfg})
+func (r *Registry) runRemote(ctx context.Context, d *Dataset, job jobwire.Job) (*JobResult, error) {
+	blob, err := jobwire.Encode(job)
 	if err != nil {
 		return nil, err
 	}
@@ -537,7 +526,7 @@ func (r *Registry) runRemote(ctx context.Context, d *Dataset, spec JobSpec) (*Jo
 	if err := d.remote.StartJob(blob); err != nil {
 		return nil, err
 	}
-	res, err := core.RunOverCtx(ctx, d.remote, cfg)
+	out, err := job.Coordinate(ctx, nil, d.remote)
 	if err != nil {
 		// A cancellation mid-protocol leaves the persistent connections
 		// desynchronized (site replies for this run are still in flight).
@@ -548,17 +537,8 @@ func (r *Registry) runRemote(ctx context.Context, d *Dataset, spec JobSpec) (*Jo
 		}
 		return nil, err
 	}
-	return &JobResult{
-		Centers:       pointsToRows(res.Centers),
-		OutlierBudget: res.OutlierBudget,
-		Cost:          res.CoordinatorCost,
-		CostKind:      "coordinator",
-		Rounds:        res.Report.Rounds,
-		UpBytes:       res.Report.UpBytes,
-		DownBytes:     res.Report.DownBytes,
-		SiteBudgets:   res.SiteBudgets,
-		Transport:     string(transport.KindTCP),
-	}, nil
+	// The data stays at the sites: Cost reports the coordinator's cost.
+	return jobResult(job, jobwire.Data{}, out, transport.KindTCP), nil
 }
 
 // runUncertain executes the Section 5 protocols over loopback shards of an
@@ -567,7 +547,7 @@ func (r *Registry) runRemote(ctx context.Context, d *Dataset, spec JobSpec) (*Jo
 // over all registered nodes (the server holds the ground set, so unlike
 // remote datasets there is no reason to settle for the coordinator's
 // induced cost); u-centerg costs are seeded Monte Carlo estimates.
-func (r *Registry) runUncertain(ctx context.Context, d *Dataset, spec JobSpec) (*JobResult, error) {
+func (r *Registry) runUncertain(ctx context.Context, d *Dataset, spec JobSpec, job jobwire.Job) (*JobResult, error) {
 	sites := spec.Sites
 	if sites <= 0 {
 		sites = DefaultJobSites
@@ -575,65 +555,32 @@ func (r *Registry) runUncertain(ctx context.Context, d *Dataset, spec JobSpec) (
 	if spec.T >= len(d.nodes) {
 		return nil, fmt.Errorf("serve: t = %d out of range [0, %d) for dataset %q", spec.T, len(d.nodes), d.name)
 	}
-	shards := dataio.SplitNodesRoundRobin(d.nodes, sites)
-
-	if spec.Objective == "u-centerg" {
-		cfg, err := spec.CenterGConfig()
-		if err != nil {
-			return nil, err
-		}
-		res, err := uncertain.RunCenterGCtx(ctx, d.ground, shards, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &JobResult{
-			Centers:       pointsToRows(res.Centers),
-			OutlierBudget: res.OutlierBudget,
-			Cost:          uncertain.EvalCenterG(d.ground, d.nodes, res.Centers, res.OutlierBudget, CenterGCostSamples, spec.Seed),
-			CostKind:      "estimate",
-			Rounds:        res.Report.Rounds,
-			UpBytes:       res.Report.UpBytes,
-			DownBytes:     res.Report.DownBytes,
-			SiteBudgets:   res.SiteBudgets,
-			Transport:     string(transport.KindLoopback),
-			Tau:           res.Tau,
-		}, nil
-	}
-
-	cfg, obj, err := spec.UncertainConfig()
+	data := jobwire.Data{G: d.ground, Nodes: d.nodes}
+	out, err := job.Run(ctx, data, sites, transport.KindLoopback)
 	if err != nil {
 		return nil, err
 	}
-	res, err := uncertain.RunCtx(ctx, d.ground, shards, cfg, obj)
-	if err != nil {
-		return nil, err
-	}
-	var cost float64
-	switch obj {
-	case uncertain.Means:
-		cost = uncertain.EvalMeans(d.ground, d.nodes, res.Centers, res.OutlierBudget)
-	case uncertain.CenterPP:
-		cost = uncertain.EvalCenterPP(d.ground, d.nodes, res.Centers, res.OutlierBudget)
-	default:
-		cost = uncertain.EvalMedian(d.ground, d.nodes, res.Centers, res.OutlierBudget)
-	}
-	return &JobResult{
-		Centers:       pointsToRows(res.Centers),
-		OutlierBudget: res.OutlierBudget,
-		Cost:          cost,
-		CostKind:      "global",
-		Rounds:        res.Report.Rounds,
-		UpBytes:       res.Report.UpBytes,
-		DownBytes:     res.Report.DownBytes,
-		SiteBudgets:   res.SiteBudgets,
-		Transport:     string(transport.KindLoopback),
-	}, nil
+	return jobResult(job, data, out, transport.KindLoopback), nil
 }
 
-// CenterGCostSamples is the Monte-Carlo sample count behind u-centerg job
-// costs. Exported so the client package evaluates with the identical
-// sample count — remote and local u-centerg costs must agree exactly.
-const CenterGCostSamples = 200
+// jobResult is the one Outcome-to-JobResult mapping of the distributed
+// runners; the cost is job.Cost against data (empty when the data lives at
+// remote sites).
+func jobResult(job jobwire.Job, data jobwire.Data, out jobwire.Outcome, tk transport.Kind) *JobResult {
+	cost, costKind := job.Cost(data, out)
+	return &JobResult{
+		Centers:       pointsToRows(out.Centers),
+		OutlierBudget: out.OutlierBudget,
+		Cost:          cost,
+		CostKind:      costKind,
+		Rounds:        out.Report.Rounds,
+		UpBytes:       out.Report.UpBytes,
+		DownBytes:     out.Report.DownBytes,
+		SiteBudgets:   out.SiteBudgets,
+		Transport:     string(tk),
+		Tau:           out.Tau,
+	}
+}
 
 // pointsToRows converts points to JSON-friendly rows.
 func pointsToRows(pts []metric.Point) [][]float64 {

@@ -39,7 +39,7 @@ func startSiteGroup(t *testing.T, addr string, shards [][]metric.Point, idBase i
 			}
 			cache := metric.NewDistCache(metric.NewPoints(shards[i]))
 			errs[i] = sc.ServeJobs(jobwire.Factory(jobwire.SiteData{
-				Site: idBase + i, Pts: shards[i], Cache: cache,
+				Site: idBase + i, Data: jobwire.Data{Pts: shards[i]}, Cache: cache,
 			}))
 		}(i)
 	}

@@ -39,7 +39,7 @@ func startPersistentSites(t *testing.T, addr string, shards [][]metric.Point) fu
 			}
 			cache := metric.NewDistCache(metric.NewPoints(shards[i]))
 			errs[i] = sc.ServeJobs(jobwire.Factory(jobwire.SiteData{
-				Site: i, Pts: shards[i], Cache: cache,
+				Site: i, Data: jobwire.Data{Pts: shards[i]}, Cache: cache,
 			}))
 		}(i)
 	}

@@ -331,7 +331,7 @@ func (c *Coordinator) Gather(ctx context.Context, round int) (RoundResult, error
 // StartJob begins a new protocol run over the same connected sites: every
 // site receives a job frame carrying blob (dpc-server ships the encoded
 // run configuration), after which rounds restart at 0 and the Coordinator
-// can be handed to a fresh protocol run (e.g. core.RunOver). Sites must be
+// can be handed to a fresh protocol run (e.g. core.RunOverCtx). Sites must be
 // serving with ServeJobs; the per-run round state is reset here so a
 // previous run's half-finished round cannot leak into the next job.
 //

@@ -176,6 +176,12 @@ func decodeBatch(raw []byte) (batch, error) {
 	if ns > maxSections {
 		return batch{}, fmt.Errorf("tree: %d sections (cap %d)", ns, maxSections)
 	}
+	// Allocation guard: every section takes at least 3 bytes (method, work
+	// and length varints), so a count the remaining bytes cannot hold is
+	// rejected before it sizes the slice.
+	if rem := uint64(len(raw) - r.off); ns > rem/3 {
+		return batch{}, fmt.Errorf("tree: %d sections exceed %d remaining bytes", ns, rem)
+	}
 	bt.secs = make([]section, 0, ns)
 	for i := uint64(0); i < ns; i++ {
 		m, err := r.byte()

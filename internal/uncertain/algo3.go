@@ -117,7 +117,7 @@ type uSite struct {
 	nodes   []Node
 	col     *Collapsed
 	costs   metric.Costs // col behind the memoized cost cache (unless Reference)
-	space   metric.Space // col behind the memoized distance cache (CenterPP only)
+	space   metric.Space // col behind metric.EngineSpace's stack (CenterPP only)
 	trav    kcenter.Traversal
 	fn      geom.ConvexFn
 	sols    map[int]kmedian.Solution
@@ -148,19 +148,13 @@ func (st *uSite) start() {
 	st.started = true
 	st.col = Collapse(st.g, st.nodes, st.obj == Means, st.cfg.Candidates)
 	st.costs = st.col
-	cache := !st.opts.Reference && !st.opts.NoCache
-	if cache {
+	if !st.opts.Reference && !st.opts.NoCache {
 		st.costs = metric.CacheCosts(st.col)
 	}
 	st.sols = make(map[int]kmedian.Solution)
 	if st.obj == CenterPP {
-		st.space = st.col
-		if cache {
-			st.space = metric.CacheSpace(st.space)
-			// The pivot index layers over the (possibly cached) collapsed
-			// space; the greedy covers below prune through it.
-			st.space = metric.IndexSpace(st.space, st.opts.Index, st.opts.Pivots)
-		}
+		// The greedy covers below prune through the stack's pivot index.
+		st.space = metric.EngineSpace(st.col, st.opts.Options)
 		st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.opts.Options)
 	}
 }
@@ -405,16 +399,11 @@ func NewSiteHandler(g *Ground, nodes []Node, cfg Config, obj Objective, site int
 	return newUSite(g, nodes, cfg, obj, site).handle, nil
 }
 
-// RunOver executes the coordinator side of the uncertain protocol over an
-// already-connected transport (sites served elsewhere via NewSiteHandler
-// with the identical config, objective and ground set g — in the paper's
-// model the ground metric is shared knowledge).
-func RunOver(g *Ground, tr transport.Transport, cfg Config, obj Objective) (Result, error) {
-	return RunOverCtx(context.Background(), g, tr, cfg, obj)
-}
-
-// RunOverCtx is RunOver under a context: cancellation aborts the round
-// loop promptly with ctx.Err().
+// RunOverCtx executes the coordinator side of the uncertain protocol over
+// an already-connected transport (sites served elsewhere via
+// NewSiteHandler with the identical config, objective and ground set g —
+// in the paper's model the ground metric is shared knowledge).
+// Cancellation aborts the round loop promptly with ctx.Err().
 func RunOverCtx(ctx context.Context, g *Ground, tr transport.Transport, cfg Config, obj Objective) (Result, error) {
 	cfg = cfg.withDefaults()
 	if tr.Sites() == 0 {

@@ -275,17 +275,13 @@ func (st *cgSite) handle(round int, in []byte) ([]byte, error) {
 // deriving the tau grid from the shared ground set (a genuinely remote
 // site must compute it itself; in-process runs share one grid instead).
 func NewCenterGSiteHandler(g *Ground, nodes []Node, cfg CenterGConfig, site int) (transport.Handler, error) {
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("uncertain: site %d empty", site)
+	}
 	cfg = cfg.withDefaults()
 	grid, err := tauGrid(g, cfg.TauBase)
 	if err != nil {
 		return nil, err
-	}
-	return newCenterGSiteHandler(g, nodes, cfg, grid, site)
-}
-
-func newCenterGSiteHandler(g *Ground, nodes []Node, cfg CenterGConfig, grid []float64, site int) (transport.Handler, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("uncertain: site %d empty", site)
 	}
 	return newCGSite(g, nodes, cfg, grid, site).handle, nil
 }
@@ -330,11 +326,7 @@ func RunCenterGCtx(ctx context.Context, g *Ground, sites [][]Node, cfg CenterGCo
 	}
 	handlers := make([]transport.Handler, s)
 	for i := range sites {
-		h, err := newCenterGSiteHandler(g, sites[i], cfg, grid, i)
-		if err != nil {
-			return CenterGResult{}, err
-		}
-		handlers[i] = h
+		handlers[i] = newCGSite(g, sites[i], cfg, grid, i).handle
 	}
 	tr, err := tree.NewLocal(ctx, cfg.Transport, handlers, !cfg.Sequential, cfg.Topology)
 	if err != nil {
@@ -344,14 +336,10 @@ func RunCenterGCtx(ctx context.Context, g *Ground, sites [][]Node, cfg CenterGCo
 	return runCenterGOver(ctx, g, tr, cfg, grid)
 }
 
-// RunCenterGOver executes the coordinator side of Algorithm 4 over an
-// already-connected transport.
-func RunCenterGOver(g *Ground, tr transport.Transport, cfg CenterGConfig) (CenterGResult, error) {
-	return RunCenterGOverCtx(context.Background(), g, tr, cfg)
-}
-
-// RunCenterGOverCtx is RunCenterGOver under a context: cancellation aborts
-// the round loop promptly with ctx.Err().
+// RunCenterGOverCtx executes the coordinator side of Algorithm 4 over an
+// already-connected transport (sites served elsewhere via
+// NewCenterGSiteHandler). Cancellation aborts the round loop promptly with
+// ctx.Err().
 func RunCenterGOverCtx(ctx context.Context, g *Ground, tr transport.Transport, cfg CenterGConfig) (CenterGResult, error) {
 	cfg = cfg.withDefaults()
 	grid, err := tauGrid(g, cfg.TauBase)
@@ -361,7 +349,7 @@ func RunCenterGOverCtx(ctx context.Context, g *Ground, tr transport.Transport, c
 	return runCenterGOver(ctx, g, tr, cfg, grid)
 }
 
-// runCenterGOver is RunCenterGOver with the tau grid already computed
+// runCenterGOver is RunCenterGOverCtx with the tau grid already computed
 // (cfg must have defaults applied).
 func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg CenterGConfig, grid []float64) (CenterGResult, error) {
 	s := tr.Sites()
